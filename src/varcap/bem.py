@@ -30,7 +30,6 @@ __all__ = [
     "triangle_potentials",
     "assemble",
     "spd_check",
-    "dump_system",
     "DEFAULT_QUAD_ORDER",
 ]
 
@@ -175,122 +174,6 @@ def triangle_rule(order: int) -> QuadratureRule:
 # Analytic potential of a uniformly charged triangle
 # ---------------------------------------------------------------------------
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    numba = None
-    _HAVE_NUMBA = False
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(inline="always", cache=True)
-    def _pot_scalar(px, py, pz, t):
-        e1x = t[1, 0] - t[0, 0]
-        e1y = t[1, 1] - t[0, 1]
-        e1z = t[1, 2] - t[0, 2]
-        e2x = t[2, 0] - t[0, 0]
-        e2y = t[2, 1] - t[0, 1]
-        e2z = t[2, 2] - t[0, 2]
-        nx = e1y * e2z - e1z * e2y
-        ny = e1z * e2x - e1x * e2z
-        nz = e1x * e2y - e1y * e2x
-        two_area = math.sqrt(nx * nx + ny * ny + nz * nz)
-        nx /= two_area
-        ny /= two_area
-        nz /= two_area
-
-        rx0 = px - t[0, 0]; ry0 = py - t[0, 1]; rz0 = pz - t[0, 2]
-        rx1 = px - t[1, 0]; ry1 = py - t[1, 1]; rz1 = pz - t[1, 2]
-        rx2 = px - t[2, 0]; ry2 = py - t[2, 1]; rz2 = pz - t[2, 2]
-        r0 = math.sqrt(rx0 * rx0 + ry0 * ry0 + rz0 * rz0)
-        r1 = math.sqrt(rx1 * rx1 + ry1 * ry1 + rz1 * rz1)
-        r2 = math.sqrt(rx2 * rx2 + ry2 * ry2 + rz2 * rz2)
-
-        total = 0.0
-        for k in range(3):
-            if k == 0:
-                ax, ay, az, ra = rx1, ry1, rz1, r1
-                bx, by, bz, rb = rx2, ry2, rz2, r2
-            elif k == 1:
-                ax, ay, az, ra = rx2, ry2, rz2, r2
-                bx, by, bz, rb = rx0, ry0, rz0, r0
-            else:
-                ax, ay, az, ra = rx0, ry0, rz0, r0
-                bx, by, bz, rb = rx1, ry1, rz1, r1
-            ex = ax - bx
-            ey = ay - by
-            ez = az - bz
-            length = math.sqrt(ex * ex + ey * ey + ez * ez)
-            denom = ra + rb - length
-            if denom < 1e-300:
-                denom = 1e-300
-            gamma = math.log((ra + rb + length) / denom) / length
-            cx = ay * bz - az * by
-            cy = az * bx - ax * bz
-            cz = ax * by - ay * bx
-            total += (cx * nx + cy * ny + cz * nz) * gamma
-
-        c12x = ry1 * rz2 - rz1 * ry2
-        c12y = rz1 * rx2 - rx1 * rz2
-        c12z = rx1 * ry2 - ry1 * rx2
-        stp = rx0 * c12x + ry0 * c12y + rz0 * c12z
-        den = (
-            r0 * r1 * r2
-            + (rx1 * rx2 + ry1 * ry2 + rz1 * rz2) * r0
-            + (rx2 * rx0 + ry2 * ry0 + rz2 * rz0) * r1
-            + (rx0 * rx1 + ry0 * ry1 + rz0 * rz1) * r2
-        )
-        omega = 2.0 * math.atan2(stp, den)
-        h = rx0 * nx + ry0 * ny + rz0 * nz
-        return total - h * omega
-
-    @numba.njit(parallel=True, cache=True)
-    def _pot_single_nb(points, tri, out):
-        for i in numba.prange(points.shape[0]):
-            out[i] = _pot_scalar(points[i, 0], points[i, 1], points[i, 2], tri)
-
-    @numba.njit(parallel=True, cache=True)
-    def _pot_batch_nb(points, tris, out):
-        p_count, k_count = points.shape[0], points.shape[1]
-        for flat in numba.prange(p_count * k_count):
-            p = flat // k_count
-            k = flat % k_count
-            out[p, k] = _pot_scalar(
-                points[p, k, 0], points[p, k, 1], points[p, k, 2], tris[p]
-            )
-
-    @numba.njit(parallel=True, cache=True)
-    def _corr_batch_nb(outer, tris, bary, wts, out):
-        # Fused refined-rule entry: quadrature points are generated from the
-        # outer triangle's barycentric rule on the fly and the weighted sum
-        # is accumulated in rule order, so results match the unfused path.
-        p_count = outer.shape[0]
-        q_count = bary.shape[0]
-        for p in numba.prange(p_count):
-            acc = 0.0
-            for q in range(q_count):
-                px = (
-                    bary[q, 0] * outer[p, 0, 0]
-                    + bary[q, 1] * outer[p, 1, 0]
-                    + bary[q, 2] * outer[p, 2, 0]
-                )
-                py = (
-                    bary[q, 0] * outer[p, 0, 1]
-                    + bary[q, 1] * outer[p, 1, 1]
-                    + bary[q, 2] * outer[p, 2, 1]
-                )
-                pz = (
-                    bary[q, 0] * outer[p, 0, 2]
-                    + bary[q, 1] * outer[p, 1, 2]
-                    + bary[q, 2] * outer[p, 2, 2]
-                )
-                acc += wts[q] * _pot_scalar(px, py, pz, tris[p])
-            out[p] = acc
-
-
 def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
     out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
@@ -362,10 +245,6 @@ def triangle_potentials(points, corners) -> np.ndarray:
     scale = max(float(np.max(np.abs(v))), 1.0)
     if two_area <= 1e-14 * scale * scale:
         raise DegenerateTriangleError([0], "triangle is degenerate (zero area)")
-    if _HAVE_NUMBA:
-        out = np.empty(len(pts))
-        _pot_single_nb(pts, v, out)
-        return out
     return _potential_batch(pts[None, :, :], v[None, :, :])[0]
 
 
@@ -522,12 +401,8 @@ def _apply_corrections(matrix, corners, areas, rows, perms, srcs, pts_bary, wts)
         src = srcs[s : s + chunk]
         outer = np.ascontiguousarray(corners[r[:, None], perms[s : s + chunk]])
         tris = np.ascontiguousarray(corners[src])
-        if _HAVE_NUMBA:
-            vals = np.empty(len(r))
-            _corr_batch_nb(outer, tris, pts_bary, wts, vals)
-        else:
-            pts = np.einsum("qk,pkd->pqd", pts_bary, outer)
-            vals = _potential_batch(pts, tris) @ wts
+        pts = np.einsum("qk,pkd->pqd", pts_bary, outer)
+        vals = _potential_batch(pts, tris) @ wts
         matrix[r, src] = areas[r] * vals
 
 
@@ -575,9 +450,7 @@ def assemble(
     # Near field: the diagonal, touching pairs (graded toward the shared
     # feature) and the near ring all get refined outer rules.
     refined = _refined_rules()
-    tasks: dict[str, tuple[list, list, list]] = {
-        name: ([], [], []) for name in ("edge", "vertex", "near")
-    }
+    tasks: dict[str, tuple] = {name: ([], [], []) for name in ("edge", "vertex")}
 
     touching = _touching_pairs(corners)
     for (i, j), slots in touching.items():
@@ -596,28 +469,29 @@ def assemble(
         perms += [perm_i, perm_j]
         srcs += [j, i]
 
-    # Near ring: non-touching pairs closer than NEAR_FACTOR panel radii.
-    radii = np.max(
-        np.linalg.norm(corners - panels.centroids[:, None, :], axis=2), axis=1
-    )
-    tree = cKDTree(panels.centroids)
-    rows, perms, srcs = tasks["near"]
-    for i, j in tree.query_pairs(NEAR_FACTOR * 2.0 * float(radii.max())):
-        if (i, j) in touching:
-            continue
-        dist = float(np.linalg.norm(panels.centroids[i] - panels.centroids[j]))
-        if dist >= NEAR_FACTOR * (radii[i] + radii[j]):
-            continue
-        rows += [i, j]
-        perms += [_IDENTITY_PERM, _IDENTITY_PERM]
-        srcs += [j, i]
+    # Near ring: non-touching pairs closer than NEAR_FACTOR panel radii. The
+    # set's iteration order (fixed for integer pairs) sets each entry's place
+    # in the correction chunks, and BLAS rounds a row's weighted sum by its
+    # place. Distances are dot products: cube pairs sit exactly on the
+    # cut-off, so the rounding decides their side.
+    centroids = panels.centroids
+    radii = np.max(np.linalg.norm(corners - centroids[:, None, :], axis=2), axis=1)
+    pairs = np.array(
+        list(cKDTree(centroids).query_pairs(NEAR_FACTOR * 2.0 * float(radii.max()))),
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    touching_keys = np.array([i * m + j for i, j in touching], dtype=np.int64)
+    pairs = pairs[~np.isin(pairs[:, 0] * m + pairs[:, 1], touching_keys)]
+    diff = centroids[pairs[:, 0]] - centroids[pairs[:, 1]]
+    dist = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
+    i, j = pairs[dist < NEAR_FACTOR * (radii[pairs[:, 0]] + radii[pairs[:, 1]])].T
+    rows = np.column_stack([i, j]).ravel()
+    srcs = np.column_stack([j, i]).ravel()
+    tasks["near"] = (rows, np.tile(_IDENTITY_PERM, (len(rows), 1)), srcs)
 
     diag = np.arange(m)
-    self_pts, self_wts = refined["self"]
-    _apply_corrections(
-        matrix, corners, areas, diag, [_IDENTITY_PERM] * m, diag, self_pts, self_wts
-    )
-    for case in ("edge", "vertex", "near"):
+    tasks["self"] = (diag, np.tile(_IDENTITY_PERM, (m, 1)), diag)
+    for case in ("self", "edge", "vertex", "near"):
         rows, perms, srcs = tasks[case]
         pts, wts = refined[case]
         _apply_corrections(matrix, corners, areas, rows, perms, srcs, pts, wts)
@@ -645,41 +519,18 @@ class SpdReport:
     cholesky_succeeded: bool
 
 
-def spd_check(system: GalerkinSystem, max_iter: int = 200, rtol: float = 1e-8) -> SpdReport:
-    """Cholesky success plus a smallest-eigenvalue estimate.
+def spd_check(system: GalerkinSystem) -> SpdReport:
+    """Cholesky success plus the exact smallest eigenvalue.
 
-    The estimate uses inverse power iteration on the Cholesky factor; if the
-    factorization fails (matrix not SPD within round-off) that is reported as
-    a result, with the exact smallest eigenvalue from a dense solve.
+    The eigenvalue comes from a dense symmetric eigensolver whether or not
+    the factorization succeeds, so it is exact to round-off either way; a
+    failed factorization (matrix not SPD within round-off) is a result.
     """
     mat = system.matrix
     try:
-        factor = scipy.linalg.cho_factor(mat, lower=True)
+        scipy.linalg.cho_factor(mat, lower=True)
+        succeeded = True
     except scipy.linalg.LinAlgError:
-        return SpdReport(float(np.linalg.eigvalsh(mat)[0]), False)
-    n = system.n
-    x = np.full(n, 1.0 / math.sqrt(n))
-    prev = None
-    for _ in range(max_iter):
-        y = scipy.linalg.cho_solve(factor, x)
-        mu = float(x @ y)  # Rayleigh quotient of A^{-1}
-        x = y / np.linalg.norm(y)
-        if prev is not None and abs(mu - prev) <= rtol * abs(mu):
-            break
-        prev = mu
-    lam = float(x @ (mat @ x))
-    return SpdReport(lam, True)
-
-
-def dump_system(system: GalerkinSystem, path: str) -> None:
-    """Write the matrix row-major as float64 with a JSON sidecar."""
-    import json
-
-    np.ascontiguousarray(system.matrix).tofile(path)
-    sidecar = {
-        "n": system.n,
-        "areas": system.areas.tolist(),
-        "totalArea": system.total_area,
-    }
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh)
+        succeeded = False
+    lam = scipy.linalg.eigh(mat, eigvals_only=True, subset_by_index=[0, 0])[0]
+    return SpdReport(float(lam), succeeded)

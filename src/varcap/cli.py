@@ -289,6 +289,15 @@ def cmd_converge(args) -> int:
         raise VarcapError(f"bad --levels {args.levels!r}") from exc
     if len(levels) < 2:
         raise VarcapError("converge needs at least 2 refinement levels")
+    if len(levels) >= 3:
+        # Richardson extrapolation assumes the mesh width halves per level.
+        cube = args.shape == "cube"
+        if levels[1:] != [2 * n if cube else n + 1 for n in levels[:-1]]:
+            rule = "double the panels per edge" if cube else "be consecutive subdivisions"
+            raise VarcapError(
+                f"--levels {args.levels!r} must {rule}: Richardson extrapolation "
+                "assumes a refinement ratio of 2"
+            )
     rows = []
     for level in levels:
         mesh = _build_shape(args, level=level)

@@ -51,11 +51,16 @@ DEFAULT_APPROACH_FACTOR = 0.5
 
 @dataclass(frozen=True)
 class SymmetricForm:
-    """A real symmetric matrix together with its cached spectral norm."""
+    """A real symmetric matrix with its ascending eigenvalues and spectral norm.
+
+    The eigenvalues come from one dense decomposition at construction, which
+    every later sign test reads.
+    """
 
     matrix: np.ndarray
     n: int
     norm: float
+    eigenvalues: np.ndarray
 
     @classmethod
     def from_matrix(cls, matrix, asym_tol: float = 1e-8) -> "SymmetricForm":
@@ -74,7 +79,13 @@ class SymmetricForm:
             )
         sym = 0.5 * (m + m.T)
         sym.setflags(write=False)
-        return cls(sym, sym.shape[0], float(np.linalg.norm(sym, 2)))
+        try:
+            evals = np.linalg.eigvalsh(sym)
+        except np.linalg.LinAlgError as exc:
+            raise NonFiniteInputError(f"eigendecomposition failed: {exc}") from exc
+        evals.setflags(write=False)
+        norm = float(max(evals[-1], -evals[0]))
+        return cls(sym, sym.shape[0], norm, evals)
 
 
 @dataclass(frozen=True)
@@ -140,10 +151,7 @@ def quotient(form: SymmetricForm, u, v) -> QuotientValue:
 
 def classify(form: SymmetricForm) -> str:
     """Sign classification by eigenvalues: nonneg, nonpos, indefinite or zero."""
-    try:
-        evals = np.linalg.eigvalsh(form.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NonFiniteInputError(f"eigendecomposition failed: {exc}") from exc
+    evals = form.eigenvalues
     tol = SPECTRAL_EPS * form.norm
     has_pos = bool(evals[-1] > tol)
     has_neg = bool(evals[0] < -tol)

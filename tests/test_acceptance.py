@@ -56,8 +56,7 @@ def test_criterion_01_sphere_oracle():
         total_seconds = sum(seconds.values())
         per_mesh = ", ".join(f"{name} {t:.1f}s" for name, t in seconds.items())
         assert total_seconds < 120.0, (
-            f"sphere suite took {total_seconds:.1f}s ({per_mesh}; "
-            f"numba kernels: {varcap.bem._HAVE_NUMBA})"
+            f"sphere suite took {total_seconds:.1f}s ({per_mesh})"
         )
 
 

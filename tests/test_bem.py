@@ -8,7 +8,7 @@ from numpy.polynomial.legendre import leggauss
 
 import varcap
 from varcap import PanelSystem, assemble, bem, spd_check, triangle_potential, triangle_rule
-from varcap.bem import FOUR_PI, _refined_rules, dump_system
+from varcap.bem import FOUR_PI, _refined_rules
 from varcap.errors import DegenerateTriangleError, VarcapError
 
 from oracles import numeric_triangle_potential, reference_triangle_monomial
@@ -196,9 +196,12 @@ class TestAssembly:
 
     def test_spd_reports(self, solved):
         for name in ("sphere2", "cube4"):
-            report = spd_check(solved(name).system)
+            system = solved(name).system
+            report = spd_check(system)
             assert report.cholesky_succeeded
             assert report.min_eigenvalue > 0
+            exact = np.linalg.eigvalsh(system.matrix)[0]
+            assert report.min_eigenvalue == pytest.approx(exact, rel=1e-10), name
 
     def test_spd_check_detects_indefinite(self):
         panels = varcap.build_panels(varcap.make_icosphere(1.0, 1))
@@ -210,15 +213,3 @@ class TestAssembly:
         report = spd_check(bad)
         assert not report.cholesky_succeeded
         assert report.min_eigenvalue < 0
-
-    def test_dump_round_trip(self, solved, tmp_path):
-        import json
-
-        system = solved("sphere1").system
-        path = tmp_path / "system.f64"
-        dump_system(system, str(path))
-        raw = np.fromfile(path, dtype=np.float64).reshape(system.n, system.n)
-        assert np.array_equal(raw, system.matrix)
-        sidecar = json.loads((path.parent / (path.name + ".json")).read_text())
-        assert sidecar["n"] == system.n
-        assert sidecar["totalArea"] == system.total_area

@@ -134,10 +134,11 @@ class TestConverge:
         assert json.loads(out)["extrapolation"] is None
 
     def test_bad_levels(self, capsys):
-        code, out = run_cli(
-            capsys, "converge", "--shape", "cube", "--levels", "4", "--json"
-        )
-        assert code == EXIT_USAGE
+        for levels in ("4", "4,6,8"):
+            code, out = run_cli(
+                capsys, "converge", "--shape", "cube", "--levels", levels, "--json"
+            )
+            assert code == EXIT_USAGE, levels
 
 
 class TestVerifyPrinciple:
