@@ -174,62 +174,84 @@ def triangle_rule(order: int) -> QuadratureRule:
 # Analytic potential of a uniformly charged triangle
 # ---------------------------------------------------------------------------
 
-def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product over the last axis; np.cross (numpy 2.4) costs ~40 us a call."""
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+
+
+def _dot3(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = a[0] b[0] + a[1] b[1] + a[2] b[2], in place, for component arrays."""
+    np.multiply(a[0], b[0], out=out)
+    out += np.multiply(a[1], b[1], out=tmp)
+    out += np.multiply(a[2], b[2], out=tmp)
     return out
 
 
 def _potential_batch(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Batched closed-form potential: points (P, K, 3), tris (P, 3, 3) -> (P, K).
+    """Batched closed-form potential: points (3, P, K), tris (P, 3, 3) -> (P, K).
 
-    No degeneracy checks; callers validate triangles first.
+    Points are component-major, so every per-point temporary is a contiguous
+    (P, K) array. Raises DegenerateTriangleError (batch indices) for a
+    triangle whose area is zero to round-off, relative to its coordinates.
     """
-    e1 = tris[:, 1, :] - tris[:, 0, :]
-    e2 = tris[:, 2, :] - tris[:, 0, :]
-    nvec = _cross_rows(e1, e2)
+    # Per-source terms, once per triangle: the unit normal n and, for the
+    # edge e_k = v_k2 - v_k1 opposite corner k, its length and the unit
+    # in-plane edge normal n x e_k / |e_k|. As r_k2 = r_k1 - e_k, the edge
+    # prefactor (r_k1 x r_k2) . n equals r_k1 . (n x e_k).
+    edges = tris[:, [2, 0, 1]] - tris[:, [1, 2, 0]]
+    nvec = _cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
     two_area = np.sqrt(np.einsum("pd,pd->p", nvec, nvec))
-    n = nvec / two_area[:, None]                       # (P, 3)
+    scale = np.maximum(np.max(np.abs(tris), axis=(1, 2)), 1.0)
+    bad = np.nonzero(two_area <= 1e-14 * scale * scale)[0]
+    if len(bad):
+        raise DegenerateTriangleError(bad.tolist())
+    n = nvec / two_area[:, None]
+    length = np.sqrt(np.einsum("pkd,pkd->pk", edges, edges))
+    edge_normal = _cross(n[:, None, :], edges) / length[:, :, None]
 
-    r_vec = points[:, :, None, :] - tris[:, None, :, :]  # (P, K, 3, 3)
-    r = np.sqrt(np.einsum("pkcd,pkcd->pkc", r_vec, r_vec))
+    shape = points.shape[1:]
+    r = [[points[d] - tris[:, c, d, None] for d in range(3)] for c in range(3)]
+    tmp, s, num, pref = (np.empty(shape) for _ in range(4))
+    dist = [_dot3(rc, rc, np.empty(shape), tmp) for rc in r]
+    for sq in dist:
+        np.sqrt(sq, out=sq)
 
-    total = np.zeros(points.shape[:2])
+    total = np.zeros(shape)
     for k in range(3):
         k1, k2 = (k + 1) % 3, (k + 2) % 3
-        edge = tris[:, k2, :] - tris[:, k1, :]
-        length = np.sqrt(np.einsum("pd,pd->p", edge, edge))[:, None]
-        ra = r[:, :, k1]
-        rb = r[:, :, k2]
+        ell = length[:, k, None]
         # Stable edge integral of 1/r along the segment; the denominator
         # vanishes only for points on the segment, where the prefactor
         # (twice the projected area) vanishes as well.
-        denom = np.maximum(ra + rb - length, 1e-300)
-        gamma = np.log((ra + rb + length) / denom) / length
-        pref = np.einsum(
-            "pkd,pd->pk", _cross_rows(r_vec[:, :, k1, :], r_vec[:, :, k2, :]), n
-        )
-        total += pref * gamma
+        np.add(dist[k1], dist[k2], out=s)
+        np.add(s, ell, out=num)
+        s -= ell
+        np.maximum(s, 1e-300, out=s)
+        num /= s
+        np.log(num, out=num)
+        num *= _dot3(r[k1], edge_normal[:, k].T[:, :, None], pref, tmp)
+        total += num
 
     # Solid angle (van Oosterom-Strackee); explicit triple product keeps
     # mirror symmetry across the triangle plane bitwise exact.
-    stp = np.einsum(
-        "pkd,pkd->pk",
-        r_vec[:, :, 0, :],
-        _cross_rows(r_vec[:, :, 1, :], r_vec[:, :, 2, :]),
-    )
-    denom_sa = r[:, :, 0] * r[:, :, 1] * r[:, :, 2]
+    for a, b, cross in ((1, 2, s), (2, 0, num), (0, 1, pref)):
+        np.multiply(r[1][a], r[2][b], out=cross)
+        cross -= np.multiply(r[1][b], r[2][a], out=tmp)
+    stp = _dot3(r[0], (s, num, pref), s, tmp)
+    denom = np.multiply(dist[0], dist[1], out=pref)
+    denom *= dist[2]
     for k in range(3):
         k1, k2 = (k + 1) % 3, (k + 2) % 3
-        denom_sa = denom_sa + np.einsum(
-            "pkd,pkd->pk", r_vec[:, :, k1, :], r_vec[:, :, k2, :]
-        ) * r[:, :, k]
-    omega = 2.0 * np.arctan2(stp, denom_sa)
+        _dot3(r[k1], r[k2], num, tmp)
+        num *= dist[k]
+        denom += num
+    half_omega = np.arctan2(stp, denom, out=stp)
 
-    h = np.einsum("pkd,pd->pk", r_vec[:, :, 0, :], n)
-    return total - h * omega
+    # h * omega, with the exact factor 2 of omega moved onto the normal.
+    two_h = _dot3(r[0], (2.0 * n).T[:, :, None], num, tmp)
+    two_h *= half_omega
+    total -= two_h
+    return total
 
 
 def triangle_potentials(points, corners) -> np.ndarray:
@@ -238,14 +260,9 @@ def triangle_potentials(points, corners) -> np.ndarray:
     Evaluates at many points at once; finite for all evaluation points,
     including points on the triangle (edge and vertex limits).
     """
-    pts = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-    v = np.ascontiguousarray(np.asarray(corners, dtype=np.float64).reshape(3, 3))
-    nvec = _cross_rows(v[1] - v[0], v[2] - v[0])
-    two_area = math.sqrt(float(nvec @ nvec))
-    scale = max(float(np.max(np.abs(v))), 1.0)
-    if two_area <= 1e-14 * scale * scale:
-        raise DegenerateTriangleError([0], "triangle is degenerate (zero area)")
-    return _potential_batch(pts[None, :, :], v[None, :, :])[0]
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    v = np.asarray(corners, dtype=np.float64).reshape(1, 3, 3)
+    return _potential_batch(np.ascontiguousarray(pts.T)[:, None, :], v)[0]
 
 
 def triangle_potential(point, corners) -> float:
@@ -371,12 +388,6 @@ def _touching_pairs(corners: np.ndarray) -> dict[tuple[int, int], list[int]]:
     return pairs
 
 
-_EDGE_PERMS = {
-    (0, 1): (0, 1, 2), (1, 0): (1, 0, 2),
-    (0, 2): (0, 2, 1), (2, 0): (2, 0, 1),
-    (1, 2): (1, 2, 0), (2, 1): (2, 1, 0),
-}
-
 _IDENTITY_PERM = (0, 1, 2)
 
 
@@ -384,26 +395,27 @@ def _apply_corrections(matrix, corners, areas, rows, perms, srcs, pts_bary, wts)
     """Overwrite entries (rows, srcs) using a refined outer rule.
 
     ``perms`` permutes each outer triangle's corners so the shared feature
-    sits where the graded rule expects it. Chunked to about 50k quadrature
-    points so the numpy kernel's (points, 3, 3) temporaries stay in cache:
-    on a 2-core x86 box, sphere3 assembly took a median 8.6 s with these
-    chunks and 12.5 s with 2M-point ones (10 alternating pairs).
+    sits where the graded rule expects it. Each entry's weighted sum is a
+    row sum of its own values, so it does not depend on the entry's place
+    in a chunk or on the order of the pairs. Chunks of about 50k quadrature
+    points bound the kernel's temporaries (17 chunk-sized arrays, ~7 MB);
+    10k, 20k and 50k gave the same sphere3 assembly time on a 2-core x86
+    box (2.3-2.7 s, within the run-to-run spread).
     """
     if not len(rows):
         return
     rows = np.asarray(rows, dtype=np.intp)
     srcs = np.asarray(srcs, dtype=np.intp)
     perms = np.asarray(perms, dtype=np.intp)
-    k = len(wts)
-    chunk = max(1, 50_000 // k)
+    chunk = max(1, 50_000 // len(wts))
     for s in range(0, len(rows), chunk):
         r = rows[s : s + chunk]
         src = srcs[s : s + chunk]
-        outer = np.ascontiguousarray(corners[r[:, None], perms[s : s + chunk]])
-        tris = np.ascontiguousarray(corners[src])
-        pts = np.einsum("qk,pkd->pqd", pts_bary, outer)
-        vals = _potential_batch(pts, tris) @ wts
-        matrix[r, src] = areas[r] * vals
+        outer = corners[r[:, None], perms[s : s + chunk]]
+        pts = outer.transpose(2, 0, 1) @ pts_bary.T
+        vals = _potential_batch(pts, corners[src])
+        vals *= wts
+        matrix[r, src] = areas[r] * vals.sum(axis=1)
 
 
 def assemble(
@@ -425,13 +437,13 @@ def assemble(
     m = panels.n_panels
     nq = len(rule.weights)
 
-    bary = rule.points
-    outer_pts = np.einsum("qk,mkd->mqd", bary, corners).reshape(m * nq, 3)
+    # Outer points component-major, (3, 1, m * nq), built once for all columns.
+    outer_pts = (corners.transpose(2, 0, 1) @ rule.points.T).reshape(3, 1, m * nq)
     matrix = np.empty((m, m))
 
     def fill_columns(j0, j1):
         for j in range(j0, j1):
-            pot = triangle_potentials(outer_pts, corners[j]).reshape(m, nq)
+            pot = _potential_batch(outer_pts, corners[j : j + 1]).reshape(m, nq)
             matrix[:, j] = areas * (pot @ rule.weights)
 
     workers = max(1, int(workers))
@@ -440,12 +452,7 @@ def assemble(
     else:
         bounds = np.linspace(0, m, workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(fill_columns, bounds[k], bounds[k + 1])
-                for k in range(workers)
-            ]
-            for fut in futures:
-                fut.result()
+            list(pool.map(fill_columns, bounds[:-1], bounds[1:]))
 
     # Near field: the diagonal, touching pairs (graded toward the shared
     # feature) and the near ring all get refined outer rules.
@@ -454,32 +461,24 @@ def assemble(
 
     touching = _touching_pairs(corners)
     for (i, j), slots in touching.items():
-        local_i = slots[0::2]
-        local_j = slots[1::2]
-        if len(local_i) >= 2:
-            case = "edge"
-            perm_i = _EDGE_PERMS[(local_i[0], local_i[1])]
-            perm_j = _EDGE_PERMS[(local_j[0], local_j[1])]
-        else:
-            case = "vertex"
-            perm_i = _EDGE_PERMS[(local_i[0], (local_i[0] + 1) % 3)]
-            perm_j = _EDGE_PERMS[(local_j[0], (local_j[0] + 1) % 3)]
+        # Shared corner a (then b, a shared edge's other end) goes first.
+        case = "edge" if len(slots) >= 4 else "vertex"
         rows, perms, srcs = tasks[case]
-        rows += [i, j]
-        perms += [perm_i, perm_j]
-        srcs += [j, i]
+        for row, src, local in ((i, j, slots[0::2]), (j, i, slots[1::2])):
+            a = local[0]
+            b = local[1] if case == "edge" else (a + 1) % 3
+            rows.append(row)
+            perms.append((a, b, 3 - a - b))
+            srcs.append(src)
 
-    # Near ring: non-touching pairs closer than NEAR_FACTOR panel radii. The
-    # set's iteration order (fixed for integer pairs) sets each entry's place
-    # in the correction chunks, and BLAS rounds a row's weighted sum by its
-    # place. Distances are dot products: cube pairs sit exactly on the
-    # cut-off, so the rounding decides their side.
+    # Near ring: non-touching pairs closer than NEAR_FACTOR panel radii.
+    # Distances are dot products: cube pairs sit exactly on the cut-off, so
+    # the rounding decides their side.
     centroids = panels.centroids
     radii = np.max(np.linalg.norm(corners - centroids[:, None, :], axis=2), axis=1)
-    pairs = np.array(
-        list(cKDTree(centroids).query_pairs(NEAR_FACTOR * 2.0 * float(radii.max()))),
-        dtype=np.int64,
-    ).reshape(-1, 2)
+    pairs = cKDTree(centroids).query_pairs(
+        NEAR_FACTOR * 2.0 * float(radii.max()), output_type="ndarray"
+    )
     touching_keys = np.array([i * m + j for i, j in touching], dtype=np.int64)
     pairs = pairs[~np.isin(pairs[:, 0] * m + pairs[:, 1], touching_keys)]
     diff = centroids[pairs[:, 0]] - centroids[pairs[:, 1]]

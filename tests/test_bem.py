@@ -113,6 +113,29 @@ class TestTrianglePotential:
         vals = varcap.triangle_potentials(pts, TRI)
         assert np.all(vals > 0)
 
+    def test_batched_kernel_matches_oracle_and_single_calls(self):
+        # The near field calls the kernel with many source triangles at once,
+        # each with its own points: its vertices, edge midpoints, centroid, a
+        # point just off its plane and a far one.
+        rng = np.random.default_rng(29)
+        tris = np.stack([TRI] + [rng.standard_normal((3, 3)) for _ in range(3)])
+        points = []
+        for tri in tris:
+            normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+            normal /= np.linalg.norm(normal)
+            cent = tri.mean(axis=0)
+            mids = 0.5 * (tri + np.roll(tri, -1, axis=0))
+            far = cent + np.array([4.0, -3.0, 6.0])
+            points.append(np.vstack([tri, mids, cent, cent + 0.05 * normal, far]))
+        points = np.stack(points)  # (P, K, 3)
+        batch = bem._potential_batch(np.ascontiguousarray(points.transpose(2, 0, 1)), tris)
+        assert batch.shape == points.shape[:2]
+        for tri, pts, row in zip(tris, points, batch):
+            assert np.array_equal(row, varcap.triangle_potentials(pts, tri))
+            for p, value in zip(pts, row):
+                oracle = numeric_triangle_potential(p, tri)
+                assert value == pytest.approx(oracle, rel=1e-10)
+
 
 def four_dim_gauss_entry(tri_a, tri_b, order=16):
     """Independent oracle for a separated-pair Galerkin entry.
@@ -187,6 +210,31 @@ class TestAssembly:
         scale = float(np.max(np.abs(system.matrix)))
         assert system.asymmetry_norm <= 1e-6 * scale
         assert np.all(system.matrix > 0)
+
+    def test_correction_entries_independent_of_position(self):
+        # A refined entry must not depend on its place in a correction
+        # chunk: prepending rows or permuting the pairs moves no bit.
+        panels = varcap.build_panels(varcap.make_icosphere(1.0, 2))
+        m = panels.n_panels
+        pairs = np.random.default_rng(31).permutation(m * m)[:703]
+        rows, srcs = pairs[3:] // m, pairs[3:] % m
+        pts, wts = _refined_rules()["near"]
+
+        def entries(order, pad):
+            matrix = np.zeros((m, m))
+            r = np.concatenate([pairs[:pad] // m, rows[order]])
+            s = np.concatenate([pairs[:pad] % m, srcs[order]])
+            perms = np.tile((0, 1, 2), (len(r), 1))
+            bem._apply_corrections(
+                matrix, panels.corners, panels.areas, r, perms, s, pts, wts
+            )
+            return matrix[rows, srcs]
+
+        base = entries(np.arange(len(rows)), 0)
+        assert np.all(base > 0)
+        for pad in (1, 2, 3):
+            assert np.array_equal(entries(np.arange(len(rows)), pad), base), pad
+        assert np.array_equal(entries(np.arange(len(rows))[::-1], 0), base)
 
     def test_workers_bitwise_identical(self):
         panels = varcap.build_panels(varcap.make_icosphere(1.0, 1))
