@@ -3,19 +3,22 @@
 Matrix entries are the double surface integrals of 1/(4 pi |s - t|) over
 panel pairs: the inner integral uses the closed-form potential of a
 uniformly charged triangle, the outer one a symmetric triangle quadrature.
-Panel pairs that touch (shared edge or vertex) and the diagonal use
-refined outer rules graded toward the shared feature, so the recorded
-pre-symmetrization asymmetry stays at round-off scale.
+The diagonal has a closed form. Panel pairs that touch (shared edge or
+vertex) and near pairs use collapsed tensor Gauss rules graded toward the
+shared feature, so the recorded pre-symmetrization asymmetry stays at
+round-off scale.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.spatial import cKDTree
 
 from .errors import AssemblyError, DegenerateTriangleError, VarcapError
@@ -23,6 +26,7 @@ from .geometry import PanelSystem
 
 __all__ = [
     "QuadratureRule",
+    "ClassStats",
     "GalerkinSystem",
     "SpdReport",
     "triangle_rule",
@@ -37,24 +41,32 @@ FOUR_PI = 4.0 * math.pi
 
 DEFAULT_QUAD_ORDER = 4
 
-# Near-field outer quadrature: refinement depths for touching panel pairs
-# and the diagonal, and the centroid-distance factor defining the near ring.
-# Refined leaves always use the degree-8 rule; the singular inner integral is
-# analytic, so only the outer rule limits accuracy.
+# Near-field outer rules. The inner integral is analytic, so only the outer
+# rule limits an entry's accuracy. Diagonal entries have a closed form
+# (_self_integrals). Touching pairs and the near ring (other pairs whose
+# centroids are closer than NEAR_FACTOR times the sum of the panel radii)
+# use a tensor Gauss-Legendre rule on the outer triangle, collapsed at one
+# corner (Duffy), with radial nodes s(sigma) graded toward the shared feature:
 #
-# The depths are sized to a quadrature budget of |dC/C| <= 1e-7, far below
-# the discretization error (1.1% on a 320-panel icosphere), so the Galerkin
-# value keeps its lower-bound meaning. Against depths one to four levels
-# deeper (edge 6, vertex 8, near 2, near factor 3.0), C moves by at most
-# 5.7e-8 on spheres, cubes and an ellipsoid, while sphere4's near-field work
-# falls from 2.2e8 to 4.3e7 kernel evaluations. The singular-entry oracles
-# in tests/test_bem.py pin the self and edge depths: self depth 3 gives rel
-# error 3.4e-6 (depth 2: 1.4e-5, over the 1e-5 bound), edge depth 4 gives
-# 4.7e-7 (depth 3: 2.0e-6, over the 1e-6 bound).
-EDGE_DEPTH = 4
-VERTEX_DEPTH = 4
-SELF_DEPTH = 3
-NEAR_DEPTH = 1
+#   class   collapsed at   s(sigma)           nodes  degree  max entry error
+#   edge    corner 2       1 - (1 - sigma)^3  10x10  4       1.1e-7
+#   vertex  shared corner  sigma^2             8x8   6       5.7e-8
+#   near    corner 0       sigma               8x8   14
+#
+# Entry errors are relative, against a deep hp-graded reference
+# (tests/test_bem.py), over edge pairs from flat to 90 degrees with aspect
+# ratios up to 5 and vertex pairs at least 15 degrees apart. Beyond that they
+# grow: aspect 10 about 1e-6, a 10-degree fold 6e-6, a 5-degree vertex gap
+# 2.6e-7. The rules meet a quadrature budget of |dC/C| <= 1e-7, far below
+# the discretization error: with every rule at twice the nodes and
+# NEAR_FACTOR 3, C moves by at most 1.0e-8 on sphere1-3, cube2-8 and a
+# 2:1:1 ellipsoid.
+NEAR_RULES = {
+    # class: (collapsed corner, nodes per direction, sigma -> (s, ds/dsigma))
+    "edge": (2, 10, lambda x: (1.0 - (1.0 - x) ** 3, 3.0 * (1.0 - x) ** 2)),
+    "vertex": (0, 8, lambda x: (x * x, 2.0 * x)),
+    "near": (0, 8, lambda x: (x, np.ones_like(x))),
+}
 NEAR_FACTOR = 2.0
 
 
@@ -271,69 +283,46 @@ def triangle_potential(point, corners) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Graded outer rules for touching panel pairs
+# Near-field outer rules and the closed-form diagonal
 # ---------------------------------------------------------------------------
 
-def _subdivide_bary(tri: np.ndarray) -> list[np.ndarray]:
-    m01 = 0.5 * (tri[0] + tri[1])
-    m12 = 0.5 * (tri[1] + tri[2])
-    m20 = 0.5 * (tri[2] + tri[0])
-    return [
-        np.array([tri[0], m01, m20]),
-        np.array([tri[1], m12, m01]),
-        np.array([tri[2], m20, m12]),
-        np.array([m01, m12, m20]),
-    ]
+def _duffy_rule(corner: int, nodes: int, grade) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre rule (barycentric points, weights) collapsed at a corner.
 
-
-def _graded_rule(base: QuadratureRule, touch, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Refined rule (barycentric points, weights) graded toward a feature.
-
-    ``touch(tri)`` decides whether a barycentric subtriangle still touches
-    the singular feature and needs further subdivision.
+    The triangle is the image of the unit square under (s, t) -> corner
+    weight 1 - s, next corners s (1 - t) and s t, with area element 2 s ds dt;
+    s = grade(sigma) moves the nodes toward s = 0 (the corner) or s = 1 (the
+    opposite edge).
     """
-    leaves: list[tuple[np.ndarray, float]] = []
-
-    def rec(tri, frac, d):
-        if d == 0 or not touch(tri):
-            leaves.append((tri, frac))
-            return
-        for child in _subdivide_bary(tri):
-            rec(child, frac / 4.0, d - 1)
-
-    rec(np.eye(3), 1.0, depth)
-    pts = np.concatenate([base.points @ tri for tri, _ in leaves])
-    wts = np.concatenate([base.weights * frac for _, frac in leaves])
-    return pts, wts
-
-
-def _touch_edge01(tri: np.ndarray) -> bool:
-    # The root edge between local vertices 0 and 1 lies in {bary[2] == 0}.
-    # Any corner on that line (segment or single point) keeps the error
-    # from plateauing, so grade as soon as one corner touches.
-    return bool(np.any(tri[:, 2] == 0.0))
-
-
-def _touch_vertex0(tri: np.ndarray) -> bool:
-    return bool(np.any(np.all(tri == np.array([1.0, 0.0, 0.0]), axis=1)))
-
-
-_graded_cache: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {}
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    s, ds = grade(x)
+    s, t = s[:, None], x[None, :]
+    pts = np.empty((nodes, nodes, 3))
+    pts[..., corner] = 1.0 - s
+    pts[..., (corner + 1) % 3] = s * (1.0 - t)
+    pts[..., (corner + 2) % 3] = s * t
+    wts = 2.0 * s * (ds * w)[:, None] * w[None, :]
+    return pts.reshape(-1, 3), wts.ravel()
 
 
 def _refined_rules() -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Near-field outer rules, graded on the degree-8 leaf rule."""
-    cached = _graded_cache.get("near")
-    if cached is None:
-        leaf = _RULES[7]
-        cached = {
-            "self": _graded_rule(leaf, lambda tri: True, SELF_DEPTH),
-            "edge": _graded_rule(leaf, _touch_edge01, EDGE_DEPTH),
-            "vertex": _graded_rule(leaf, _touch_vertex0, VERTEX_DEPTH),
-            "near": _graded_rule(leaf, lambda tri: True, NEAR_DEPTH),
-        }
-        _graded_cache["near"] = cached
-    return cached
+    """Near-field outer rules by class, built from NEAR_RULES."""
+    return {name: _duffy_rule(*spec) for name, spec in NEAR_RULES.items()}
+
+
+def _self_integrals(corners: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """Closed-form integral of 1/|s - t| over each panel times itself.
+
+    (4 A^2 / 3) sum over sides l of ln(P / (P - 2 l)) / l, with P the
+    perimeter (Arcioni, Bressan & Perregrini, IEEE T-MTT 45(3), 1997);
+    P - 2 l is taken as the difference of the other two sides' sum and l.
+    """
+    sides = np.sqrt(np.sum((corners[:, [1, 2, 0]] - corners[:, [2, 0, 1]]) ** 2, axis=2))
+    a, b, c = sides.T
+    rest = np.column_stack([b + c - a, c + a - b, a + b - c])
+    perimeter = (a + b + c)[:, None]
+    return (4.0 / 3.0) * areas**2 * np.sum(np.log(perimeter / rest) / sides, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +330,22 @@ def _refined_rules() -> dict[str, tuple[np.ndarray, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class ClassStats:
+    """Assembly work of one entry class: far, self, edge, vertex or near."""
+
+    entries: int
+    points: int      # outer quadrature points per entry; 0 for the closed form
+    seconds: float
+
+
+@dataclass(frozen=True)
 class GalerkinSystem:
     """Dense symmetric Galerkin matrix with panel areas and diagnostics.
 
     ``asymmetry_norm`` is max|M - M^T| recorded before the final
-    symmetrization ``M <- (M + M^T)/2``.
+    symmetrization ``M <- (M + M^T)/2``. ``assembly`` maps each entry class
+    to its work; the far field computes every entry and the other classes
+    overwrite theirs.
     """
 
     matrix: np.ndarray
@@ -353,42 +353,36 @@ class GalerkinSystem:
     total_area: float
     asymmetry_norm: float
     centroids: np.ndarray
+    assembly: dict[str, ClassStats] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
         return len(self.areas)
 
 
-def _touching_pairs(corners: np.ndarray) -> dict[tuple[int, int], list[int]]:
-    """Unordered panel pairs sharing vertices, mapped to shared corner slots.
+def _touching_pairs(corners: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Directed pairs of distinct panels that share vertices, by class.
 
-    Returns {(i, j): [ai, aj, ...]} where the value lists, for each shared
-    vertex, its local corner index in panel i and in panel j (flattened
-    pairs). Vertices are matched bitwise, which is exact for panels built
-    from one mesh vertex array.
+    Returns the pairs' keys row * m + src and, for "edge" and "vertex",
+    (rows, perms, srcs): perms rotates each row panel's corners so that the
+    shared vertex comes first, or the corner off the shared edge last.
+    Vertices match by value, which is exact for panels built from one mesh
+    vertex array.
     """
-    by_vertex: dict[bytes, list[tuple[int, int]]] = {}
     m = len(corners)
-    for i in range(m):
-        for a in range(3):
-            by_vertex.setdefault(corners[i, a].tobytes(), []).append((i, a))
-    pairs: dict[tuple[int, int], list[int]] = {}
-    for slots in by_vertex.values():
-        if len(slots) < 2:
-            continue
-        for x in range(len(slots)):
-            i, a = slots[x]
-            for y in range(x + 1, len(slots)):
-                j, b = slots[y]
-                if i == j:
-                    continue
-                key = (i, j) if i < j else (j, i)
-                val = (a, b) if i < j else (b, a)
-                pairs.setdefault(key, []).extend(val)
-    return pairs
-
-
-_IDENTITY_PERM = (0, 1, 2)
+    ids = np.unique(corners.reshape(-1, 3), axis=0, return_inverse=True)[1].reshape(m, 3)
+    slots = np.repeat(np.arange(m), 3), ids.ravel()
+    incidence = scipy.sparse.csr_matrix((np.ones(3 * m, dtype=np.int64), slots))
+    shared = incidence @ incidence.T
+    shared.setdiag(0)
+    shared.eliminate_zeros()
+    pairs = shared.tocoo()
+    rows, srcs, count = pairs.row, pairs.col, pairs.data
+    on = (ids[rows][:, :, None] == ids[srcs][:, None, :]).any(axis=2)
+    first = np.where(count >= 2, np.argmin(on, axis=1) + 1, np.argmax(on, axis=1))
+    perms = (first[:, None] + np.arange(3)) % 3
+    cases = (("edge", count >= 2), ("vertex", count == 1))
+    return rows * m + srcs, {name: (rows[sel], perms[sel], srcs[sel]) for name, sel in cases}
 
 
 def _apply_corrections(matrix, corners, areas, rows, perms, srcs, pts_bary, wts):
@@ -418,6 +412,23 @@ def _apply_corrections(matrix, corners, areas, rows, perms, srcs, pts_bary, wts)
         matrix[r, src] = areas[r] * vals.sum(axis=1)
 
 
+def _near_ring(corners: np.ndarray, centroids: np.ndarray, touching: np.ndarray) -> np.ndarray:
+    """Non-touching pairs (i < j) with centroids closer than NEAR_FACTOR (r_i + r_j).
+
+    r is a panel's largest centroid-to-corner distance. On cubes many pairs
+    sit exactly on the cut-off, so it carries a relative slack of 1e-9:
+    otherwise the rounding of a translated or scaled copy decides their side.
+    """
+    m = len(corners)
+    cut = NEAR_FACTOR * (1.0 + 1e-9)
+    radii = np.max(np.linalg.norm(corners - centroids[:, None, :], axis=2), axis=1)
+    pairs = cKDTree(centroids).query_pairs(cut * 2.0 * float(radii.max()), output_type="ndarray")
+    pairs = pairs[~np.isin(pairs[:, 0] * m + pairs[:, 1], touching)]
+    diff = centroids[pairs[:, 0]] - centroids[pairs[:, 1]]
+    dist = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
+    return pairs[dist < cut * (radii[pairs[:, 0]] + radii[pairs[:, 1]])]
+
+
 def assemble(
     panels: PanelSystem,
     rule: QuadratureRule | None = None,
@@ -436,8 +447,11 @@ def assemble(
     areas = panels.areas
     m = panels.n_panels
     nq = len(rule.weights)
+    stats: dict[str, ClassStats] = {}
 
-    # Outer points component-major, (3, 1, m * nq), built once for all columns.
+    # Far field, every panel as a source (the kernel rejects degenerate
+    # ones). Outer points component-major, (3, 1, m * nq), built once.
+    start = time.perf_counter()
     outer_pts = (corners.transpose(2, 0, 1) @ rule.points.T).reshape(3, 1, m * nq)
     matrix = np.empty((m, m))
 
@@ -453,47 +467,25 @@ def assemble(
         bounds = np.linspace(0, m, workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill_columns, bounds[:-1], bounds[1:]))
+    stats["far"] = ClassStats(m * m, nq, time.perf_counter() - start)
 
-    # Near field: the diagonal, touching pairs (graded toward the shared
-    # feature) and the near ring all get refined outer rules.
-    refined = _refined_rules()
-    tasks: dict[str, tuple] = {name: ([], [], []) for name in ("edge", "vertex")}
-
-    touching = _touching_pairs(corners)
-    for (i, j), slots in touching.items():
-        # Shared corner a (then b, a shared edge's other end) goes first.
-        case = "edge" if len(slots) >= 4 else "vertex"
-        rows, perms, srcs = tasks[case]
-        for row, src, local in ((i, j, slots[0::2]), (j, i, slots[1::2])):
-            a = local[0]
-            b = local[1] if case == "edge" else (a + 1) % 3
-            rows.append(row)
-            perms.append((a, b, 3 - a - b))
-            srcs.append(src)
-
-    # Near ring: non-touching pairs closer than NEAR_FACTOR panel radii.
-    # Distances are dot products: cube pairs sit exactly on the cut-off, so
-    # the rounding decides their side.
-    centroids = panels.centroids
-    radii = np.max(np.linalg.norm(corners - centroids[:, None, :], axis=2), axis=1)
-    pairs = cKDTree(centroids).query_pairs(
-        NEAR_FACTOR * 2.0 * float(radii.max()), output_type="ndarray"
-    )
-    touching_keys = np.array([i * m + j for i, j in touching], dtype=np.int64)
-    pairs = pairs[~np.isin(pairs[:, 0] * m + pairs[:, 1], touching_keys)]
-    diff = centroids[pairs[:, 0]] - centroids[pairs[:, 1]]
-    dist = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
-    i, j = pairs[dist < NEAR_FACTOR * (radii[pairs[:, 0]] + radii[pairs[:, 1]])].T
-    rows = np.column_stack([i, j]).ravel()
-    srcs = np.column_stack([j, i]).ravel()
-    tasks["near"] = (rows, np.tile(_IDENTITY_PERM, (len(rows), 1)), srcs)
-
+    start = time.perf_counter()
     diag = np.arange(m)
-    tasks["self"] = (diag, np.tile(_IDENTITY_PERM, (m, 1)), diag)
-    for case in ("self", "edge", "vertex", "near"):
+    matrix[diag, diag] = _self_integrals(corners, areas)
+    stats["self"] = ClassStats(m, 0, time.perf_counter() - start)
+
+    touching, tasks = _touching_pairs(corners)
+    i, j = _near_ring(corners, panels.centroids, touching).T
+    rows, srcs = np.concatenate([i, j]), np.concatenate([j, i])
+    tasks["near"] = (rows, np.tile((0, 1, 2), (len(rows), 1)), srcs)
+
+    rules = _refined_rules()
+    for case in ("edge", "vertex", "near"):
+        start = time.perf_counter()
         rows, perms, srcs = tasks[case]
-        pts, wts = refined[case]
+        pts, wts = rules[case]
         _apply_corrections(matrix, corners, areas, rows, perms, srcs, pts, wts)
+        stats[case] = ClassStats(len(rows), len(wts), time.perf_counter() - start)
 
     matrix /= FOUR_PI
 
@@ -505,7 +497,7 @@ def assemble(
     asym = float(np.max(np.abs(matrix - matrix.T))) if m > 1 else 0.0
     matrix = 0.5 * (matrix + matrix.T)
     matrix.setflags(write=False)
-    return GalerkinSystem(matrix, areas, panels.total_area, asym, panels.centroids)
+    return GalerkinSystem(matrix, areas, panels.total_area, asym, panels.centroids, stats)
 
 
 # ---------------------------------------------------------------------------

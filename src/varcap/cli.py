@@ -134,7 +134,6 @@ def _shape_config(args) -> dict:
 
 
 def _solve_pipeline(mesh, quad_order, solver, workers):
-    timings = {}
     t0 = time.perf_counter()
     panels = geometry.build_panels(mesh)
     rule = bem.triangle_rule(quad_order)
@@ -153,6 +152,7 @@ def _solve_pipeline(mesh, quad_order, solver, workers):
         "spd_check_s": t3 - t2,
         "solve_s": t4 - t3,
         "bounds_s": t5 - t4,
+        **{f"assemble_{name}_s": s.seconds for name, s in system.assembly.items()},
     }
     return panels, system, spd, solution, ledger, timings
 
@@ -189,6 +189,10 @@ def _solve_report(args, mesh, panels, system, spd, solution, ledger, timings) ->
             "asymmetry_norm": system.asymmetry_norm,
             "residual_norm": solution.residual_norm,
             "solve_iterations": solution.solve_iterations,
+            "assembly": {
+                name: {"entries": s.entries, "points_per_entry": s.points}
+                for name, s in system.assembly.items()
+            },
         },
         "timings": timings,
     }

@@ -9,8 +9,9 @@ Two routes, with no code shared with the library implementation:
   cancels the 1/r singularity. Works for any point, including points on the
   triangle itself.
 
-``reference_triangle_monomial`` gives exact monomial integrals on the unit
-reference triangle for checking quadrature-rule degrees.
+``deep_panel_integral`` gives a Galerkin entry of touching or coincident
+panels, and ``reference_triangle_monomial`` exact monomial integrals on the
+unit reference triangle for checking quadrature-rule degrees.
 """
 
 import math
@@ -18,6 +19,7 @@ import warnings
 
 import numpy as np
 import scipy.integrate
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import dblquad
 
 
@@ -133,3 +135,37 @@ def numeric_triangle_potential(point, corners):
 def reference_triangle_monomial(a, b):
     """Exact integral of x^a y^b over the triangle x, y >= 0, x + y <= 1."""
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
+
+
+def _geometric_gauss(levels, order):
+    """Composite Gauss-Legendre on [0, 1] with cuts 1/2, 3/4, ..., 1 - 2^-levels."""
+    x, w = leggauss(order)
+    cuts = np.append(1.0 - 0.5 ** np.arange(levels + 1), 1.0)
+    lo, width = cuts[:-1, None], np.diff(cuts)[:, None]
+    return (lo + width * 0.5 * (x + 1.0)).ravel(), (width * 0.5 * w).ravel()
+
+
+def deep_panel_integral(outer, source, potential, levels=20, order=10):
+    """Integral over ``outer`` of ``potential(points, source)``, hp-graded.
+
+    The outer triangle is split at its centroid into three triangles, each
+    collapsed at the centroid, with composite Gauss nodes graded
+    geometrically toward the outer boundary and toward its corners: every
+    edge and corner the source can share with the outer triangle. The
+    source's potential is continuous but not smooth there; the geometric
+    grading restores exponential convergence.
+    """
+    outer = np.asarray(outer, dtype=float)
+    s, ws = _geometric_gauss(levels, order)
+    t = np.concatenate([0.5 - 0.5 * s, 0.5 + 0.5 * s])
+    wt = np.concatenate([0.5 * ws, 0.5 * ws])
+    ss, tt = np.meshgrid(s, t, indexing="ij")
+    g = outer.mean(axis=0)
+    total = 0.0
+    for k in range(3):
+        a, b = outer[k], outer[(k + 1) % 3]
+        jac = np.linalg.norm(np.cross(a - g, b - g))
+        pts = g + ss[..., None] * ((1.0 - tt)[..., None] * a + tt[..., None] * b - g)
+        vals = potential(pts.reshape(-1, 3), source).reshape(ss.shape)
+        total += jac * float(np.sum(np.outer(ws, wt) * ss * vals))
+    return total

@@ -11,7 +11,11 @@ from varcap import PanelSystem, assemble, bem, spd_check, triangle_potential, tr
 from varcap.bem import FOUR_PI, _refined_rules
 from varcap.errors import DegenerateTriangleError, VarcapError
 
-from oracles import numeric_triangle_potential, reference_triangle_monomial
+from oracles import (
+    deep_panel_integral,
+    numeric_triangle_potential,
+    reference_triangle_monomial,
+)
 
 TRI = np.array([[0.1, -0.2, 0.05], [1.3, 0.4, -0.1], [0.2, 1.1, 0.3]])
 
@@ -48,17 +52,21 @@ class TestQuadratureRules:
         with pytest.raises(VarcapError):
             triangle_rule(8)
 
-    @pytest.mark.parametrize("case", ["self", "edge", "vertex", "near"])
-    def test_graded_rules_stay_exact(self, case):
-        # Graded refinement pastes together exact leaves, so the composite
-        # rule must keep the leaf rule's full polynomial degree.
+    @pytest.mark.parametrize("case, degree", [("edge", 4), ("vertex", 6), ("near", 14)])
+    def test_near_field_rules_exact_to_degree(self, case, degree):
+        # A Duffy-collapsed n x n Gauss rule with s = sigma^p (or 1 - (1 -
+        # sigma)^p) integrates degree d exactly while p (d + 1) + p - 1 <=
+        # 2n - 1: edge p = 3, n = 10; vertex p = 2, n = 8; near p = 1, n = 8.
         points, weights = _refined_rules()[case]
         assert np.all(weights > 0)
-        assert abs(weights.sum() - 1.0) <= 1e-12
-        for a, b in [(0, 0), (3, 2), (5, 3), (8, 0), (4, 4)]:
-            exact = reference_triangle_monomial(a, b)
-            got = rule_monomial(points, weights, a, b)
-            assert got == pytest.approx(exact, rel=1e-12, abs=1e-15)
+        assert abs(weights.sum() - 1.0) <= 1e-14
+        assert np.all(points >= 0) and np.all(points <= 1)
+        np.testing.assert_allclose(points.sum(axis=1), 1.0, atol=1e-15)
+        for a in range(degree + 1):
+            for b in range(degree + 1 - a):
+                exact = reference_triangle_monomial(a, b)
+                got = rule_monomial(points, weights, a, b)
+                assert got == pytest.approx(exact, rel=1e-12, abs=1e-16), (a, b)
 
 
 class TestTrianglePotential:
@@ -184,18 +192,123 @@ class TestAssembly:
         assert FOUR_PI * system.matrix[1, 1] == pytest.approx(self_energy, rel=1e-5)
         assert FOUR_PI * system.matrix[0, 1] == pytest.approx(edge_energy, rel=1e-6)
 
-    def test_near_field_depths_meet_quadrature_budget(self, solved, monkeypatch):
-        # The near-field depths are sized to a quadrature budget of
-        # |dC/C| <= 1e-7; refining every class further must not move C
-        # beyond it (measured: 5.7e-8 against the deeper rules below).
-        sm = solved("sphere1")
-        for name, value in [
-            ("EDGE_DEPTH", 6), ("VERTEX_DEPTH", 8), ("NEAR_DEPTH", 2), ("NEAR_FACTOR", 3.0)
-        ]:
-            monkeypatch.setattr(bem, name, value)
-        monkeypatch.setattr(bem, "_graded_cache", {})
-        c_deep = varcap.solve_capacitance(assemble(sm.panels)).capacitance
-        assert abs(sm.solution.capacitance - c_deep) <= 1e-7 * c_deep
+    def test_near_field_rules_meet_quadrature_budget(self, solved, monkeypatch):
+        # The near-field rules are sized to a quadrature budget of
+        # |dC/C| <= 1e-7. Refining every class at once, edge and vertex rules
+        # at twice the nodes per direction and a 16x16 near ring out to
+        # NEAR_FACTOR 3 (the diagonal is exact), must not move C beyond it.
+        # Measured: 1.0e-8 on sphere1, 1.2e-9 on cube4; the recursively
+        # graded rules these replaced read 2.5e-7 and 2.0e-7.
+        before = {name: solved(name).solution.capacitance for name in ("sphere1", "cube4")}
+        deeper = {
+            name: (corner, 2 * nodes, grade)
+            for name, (corner, nodes, grade) in bem.NEAR_RULES.items()
+        }
+        monkeypatch.setattr(bem, "NEAR_RULES", deeper)
+        monkeypatch.setattr(bem, "NEAR_FACTOR", 3.0)
+        for name, c in before.items():
+            c_deep = varcap.solve_capacitance(assemble(solved(name).panels)).capacitance
+            assert abs(c - c_deep) <= 1e-7 * c_deep, name
+
+    def test_self_entries_closed_form(self):
+        # Oracle value for the unit right triangle (see the test above), and
+        # a triangle of aspect ratio 10 against a deep graded reference.
+        right = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        skinny = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, 0.1, 0.0]])
+        system = assemble(PanelSystem.from_triangles(np.stack([right, skinny + 5.0])))
+        assert FOUR_PI * system.matrix[0, 0] == pytest.approx(1.0030658847731690, rel=1e-12)
+        deep = deep_panel_integral(skinny, skinny, varcap.triangle_potentials)
+        assert FOUR_PI * system.matrix[1, 1] == pytest.approx(deep, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "apex1, apex2",
+        [
+            ((0.3, 0.8, 0.0), (0.4, -0.8, 0.0)),        # coplanar
+            ((0.7, 0.5, 0.0), (0.2, -1.1, 0.0)),        # coplanar, other shapes
+            ((0.3, 0.8, 0.0), (0.4, 0.0, 0.8)),         # 90 degrees
+            ((0.3, 0.8, 0.0), (0.4, -0.79, 0.14)),      # about 170 degrees
+            ((0.5, 0.2, 0.0), (0.45, -0.2, 0.0)),       # aspect 5, coplanar
+            ((0.5, 0.2, 0.0), (0.45, 0.0, 0.2)),        # aspect 5, 90 degrees
+        ],
+    )
+    def test_edge_entries_match_deep_reference(self, apex1, apex2):
+        # The shared edge runs from the origin to (1, 0, 0). Measured: at
+        # most 1.8e-8 on these pairs; the recursively graded rule that this
+        # one replaced read up to 6.5e-7 on the flat ones.
+        t1 = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], apex1])
+        t2 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], apex2])
+        self._check_touching_entry(t1, t2, "edge")
+
+    def test_skinny_edge_entries_match_deep_reference(self):
+        # Aspect-5 panels sharing their short edge, flat and at 90 degrees
+        # (measured 7.9e-8 and 1.1e-7). At aspect 10 the rule reads about
+        # 1e-6, as the replaced rules did; see the table in varcap.bem.
+        h = 0.2
+        t1 = np.array([[0.0, 0.0, 0.0], [h, 0.0, 0.0], [0.5 * h, 1.0, 0.0]])
+        for apex in ([0.4 * h, -1.0, 0.0], [0.4 * h, 0.0, 1.0]):
+            t2 = np.array([[h, 0.0, 0.0], [0.0, 0.0, 0.0], apex])
+            self._check_touching_entry(t1, t2, "edge")
+
+    @pytest.mark.parametrize(
+        "second, third",
+        [
+            ((0.2329, -0.8693, 0.0), (0.9659, -0.2588, 0.0)),  # coplanar, 15 degree gap
+            ((-0.9, 0.2, 0.0), (-0.4, -0.9, 0.0)),          # coplanar, wide gap
+            ((-0.6, 0.3, 0.7), (-0.2, -0.8, 0.4)),          # out of plane
+            ((0.0, 0.0, 1.0), (0.0, -1.0, 0.0)),            # cube corner
+        ],
+    )
+    def test_vertex_entries_match_deep_reference(self, second, third):
+        # The panels share the origin only; measured worst 5.7e-8 (15 degree gap).
+        t1 = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.85, 0.0]])
+        t2 = np.array([[0.0, 0.0, 0.0], second, third])
+        self._check_touching_entry(t1, t2, "vertex")
+
+    @staticmethod
+    def _check_touching_entry(t1, t2, case):
+        system = assemble(PanelSystem.from_triangles(np.stack([t1, t2])))
+        assert system.assembly[case].entries == 2
+        deep = deep_panel_integral(t1, t2, varcap.triangle_potentials)
+        assert FOUR_PI * system.matrix[0, 1] == pytest.approx(deep, rel=2e-7)
+
+    def test_touching_pairs_match_loop_reference(self):
+        # Every ordered pair of distinct panels, compared corner by corner.
+        for mesh in (varcap.make_icosphere(1.0, 1), varcap.make_cube(1.0, 2)):
+            corners = varcap.build_panels(mesh).corners
+            m = len(corners)
+            expected = {}
+            for i in range(m):
+                for j in range(m):
+                    shared = [
+                        a for a in range(3)
+                        if i != j and any(np.array_equal(corners[i, a], c) for c in corners[j])
+                    ]
+                    if shared:
+                        expected[(i, j)] = shared
+            keys, tasks = bem._touching_pairs(corners)
+            got = {}
+            for case, (rows, perms, srcs) in tasks.items():
+                for row, perm, src in zip(rows, perms, srcs):
+                    assert list(perm) == [(perm[0] + k) % 3 for k in range(3)]
+                    got[(row, src)] = sorted(perm[:2] if case == "edge" else perm[:1])
+            assert got == expected
+            assert sorted(keys) == sorted(i * m + j for i, j in expected)
+
+    def test_near_ring_invariant_under_translation_and_scaling(self):
+        # Many cube pairs sit exactly on the near-ring cut-off; rounding must
+        # not move them across it when the cube is translated or scaled.
+        def ring(mesh):
+            panels = varcap.build_panels(mesh)
+            touching, _ = bem._touching_pairs(panels.corners)
+            pairs = bem._near_ring(panels.corners, panels.centroids, touching)
+            return set(map(tuple, pairs.tolist()))
+
+        cube = varcap.make_cube(1.0, 4)
+        base = ring(cube)
+        assert len(base) > 0
+        assert ring(cube.transformed(lambda v: v + [0.1, 0.2, 0.3])) == base
+        for s in (3.0, 0.7):
+            assert ring(cube.scaled(s)) == base, s
 
     def test_sphere_invariants(self, solved):
         system = solved("sphere2").system

@@ -69,6 +69,16 @@ class TestSolve:
         assert report["capacitance"]["c_zeroth"] <= report["capacitance"]["C"]
         assert report["diagnostics"]["cholesky_succeeded"] is True
         assert report["diagnostics"]["min_eigenvalue"] > 0
+        # Per-class assembly work: 80 panels, each with 3 edge neighbours;
+        # the diagonal is closed-form, so it evaluates no quadrature points.
+        assembly = report["diagnostics"]["assembly"]
+        assert assembly["far"] == {"entries": 80 * 80, "points_per_entry": 6}
+        assert assembly["self"] == {"entries": 80, "points_per_entry": 0}
+        assert assembly["edge"] == {"entries": 240, "points_per_entry": 100}
+        assert assembly["vertex"]["points_per_entry"] == 64
+        assert assembly["near"]["points_per_entry"] == 64
+        for name in assembly:
+            assert report["timings"][f"assemble_{name}_s"] >= 0.0
         # The file copy matches what was printed.
         assert json.loads(out_path.read_text()) == report
 
