@@ -21,8 +21,8 @@ import scipy.linalg
 import scipy.sparse
 from scipy.spatial import cKDTree
 
-from .errors import AssemblyError, DegenerateTriangleError, VarcapError
-from .geometry import PanelSystem
+from .errors import AssemblyError, VarcapError
+from .geometry import PanelSystem, _checked_areas
 
 __all__ = [
     "QuadratureRule",
@@ -203,8 +203,9 @@ def _potential_batch(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Batched closed-form potential: points (3, P, K), tris (P, 3, 3) -> (P, K).
 
     Points are component-major, so every per-point temporary is a contiguous
-    (P, K) array. Raises DegenerateTriangleError (batch indices) for a
-    triangle whose area is zero to round-off, relative to its coordinates.
+    (P, K) array. Triangles are not checked here: a degenerate one gives
+    non-finite values, so callers pass triangles that PanelSystem or
+    triangle_potentials has validated.
     """
     # Per-source terms, once per triangle: the unit normal n and, for the
     # edge e_k = v_k2 - v_k1 opposite corner k, its length and the unit
@@ -213,10 +214,6 @@ def _potential_batch(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
     edges = tris[:, [2, 0, 1]] - tris[:, [1, 2, 0]]
     nvec = _cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
     two_area = np.sqrt(np.einsum("pd,pd->p", nvec, nvec))
-    scale = np.maximum(np.max(np.abs(tris), axis=(1, 2)), 1.0)
-    bad = np.nonzero(two_area <= 1e-14 * scale * scale)[0]
-    if len(bad):
-        raise DegenerateTriangleError(bad.tolist())
     n = nvec / two_area[:, None]
     length = np.sqrt(np.einsum("pkd,pkd->pk", edges, edges))
     edge_normal = _cross(n[:, None, :], edges) / length[:, :, None]
@@ -270,10 +267,12 @@ def triangle_potentials(points, corners) -> np.ndarray:
     """Closed-form integral of 1/|x - s| over a planar triangle, unit density.
 
     Evaluates at many points at once; finite for all evaluation points,
-    including points on the triangle (edge and vertex limits).
+    including points on the triangle (edge and vertex limits). Raises
+    DegenerateTriangleError for a degenerate triangle.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     v = np.asarray(corners, dtype=np.float64).reshape(1, 3, 3)
+    _checked_areas(v)
     return _potential_batch(np.ascontiguousarray(pts.T)[:, None, :], v)[0]
 
 
@@ -449,8 +448,8 @@ def assemble(
     nq = len(rule.weights)
     stats: dict[str, ClassStats] = {}
 
-    # Far field, every panel as a source (the kernel rejects degenerate
-    # ones). Outer points component-major, (3, 1, m * nq), built once.
+    # Far field, every panel as a source. Outer points component-major,
+    # (3, 1, m * nq), built once.
     start = time.perf_counter()
     outer_pts = (corners.transpose(2, 0, 1) @ rule.points.T).reshape(3, 1, m * nq)
     matrix = np.empty((m, m))

@@ -19,14 +19,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .bem import FOUR_PI, GalerkinSystem
-from .errors import (
-    DimensionMismatchError,
-    NonFiniteInputError,
-    SolveError,
-    VarcapError,
-    ZeroTotalChargeError,
-)
-from .varprinciple import DENOM_EPS, QuotientValue
+from .errors import SolveError, VarcapError, ZeroTotalChargeError
+from .varprinciple import DENOM_EPS, QuotientValue, _vector
 
 __all__ = [
     "ChargeSolution",
@@ -66,15 +60,6 @@ class BoundLedger:
     subspace_bounds: tuple[tuple[str, float], ...]
     gauss_at_sigma: float
     capacitance: float
-
-
-def _check_vector(system: GalerkinSystem, v, name: str = "v") -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (system.n,):
-        raise DimensionMismatchError(f"{name} must have shape ({system.n},), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteInputError(f"{name} contains non-finite entries")
-    return v
 
 
 def solve_capacitance(system: GalerkinSystem, method: str = "direct") -> ChargeSolution:
@@ -132,7 +117,7 @@ def rayleigh_bound(system: GalerkinSystem, v) -> QuotientValue:
 
     Degenerate denominators follow the zero convention and are flagged.
     """
-    v = _check_vector(system, v)
+    v = _vector(v, system.n, "v")
     av = system.matrix @ v
     denom = float(v @ av)
     norm_a = float(np.max(np.abs(system.matrix)))
@@ -144,7 +129,7 @@ def rayleigh_bound(system: GalerkinSystem, v) -> QuotientValue:
 
 def gauss_functional(system: GalerkinSystem, v) -> float:
     """Energy per squared total charge, (v^T A_h v) / (b^T v)^2 >= 1/C."""
-    v = _check_vector(system, v)
+    v = _vector(v, system.n, "v")
     q = float(system.areas @ v)
     if abs(q) <= 1e-13 * float(np.linalg.norm(system.areas)) * float(np.linalg.norm(v)):
         raise ZeroTotalChargeError(
@@ -168,7 +153,7 @@ def subspace_bound(system: GalerkinSystem, family) -> float:
     With g_i = b^T v_i and G_ij = v_i^T A_h v_j this is g^T G^{-1} g;
     rank-deficient Gram matrices fall back to a truncated pseudo-solve.
     """
-    vectors = [_check_vector(system, v, f"family[{k}]") for k, v in enumerate(family)]
+    vectors = [_vector(v, system.n, f"family[{k}]") for k, v in enumerate(family)]
     if not vectors:
         raise VarcapError("trial family is empty")
     basis = np.column_stack(vectors)

@@ -302,19 +302,20 @@ def cmd_converge(args) -> int:
                 f"--levels {args.levels!r} must {rule}: Richardson extrapolation "
                 "assumes a refinement ratio of 2"
             )
+    # convreport/1 carries C and C0 per level, so no SPD check or bound ledger.
+    rule = bem.triangle_rule(args.quad_order)
     rows = []
     for level in levels:
-        mesh = _build_shape(args, level=level)
-        panels, system, spd, solution, ledger, timings = _solve_pipeline(
-            mesh, args.quad_order, args.solver, args.workers
-        )
+        panels = geometry.build_panels(_build_shape(args, level=level))
+        system = bem.assemble(panels, rule, workers=args.workers)
+        c = capacitance.solve_capacitance(system, method=args.solver).capacitance
         rows.append(
             {
                 "level": level,
                 "panels": panels.n_panels,
-                "C": solution.capacitance,
-                "C_over_4pi": solution.capacitance / bem.FOUR_PI,
-                "c_zeroth": ledger.c_zeroth,
+                "C": c,
+                "C_over_4pi": c / bem.FOUR_PI,
+                "c_zeroth": capacitance.zeroth_capacitance(system).c_zeroth,
             }
         )
     extrapolation = None

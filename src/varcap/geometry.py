@@ -44,12 +44,27 @@ WELD_FACTOR = 1e-9
 MAX_SUBDIVISIONS = 7
 
 
-def _triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    corners = vertices[triangles]
-    e1 = corners[:, 1] - corners[:, 0]
-    e2 = corners[:, 2] - corners[:, 0]
-    cross = np.cross(e1, e2)
-    return 0.5 * np.linalg.norm(cross, axis=1)
+def _area_vectors(corners: np.ndarray) -> np.ndarray:
+    """(v1 - v0) x (v2 - v0) per triangle: its normal, twice its area long."""
+    return np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+
+
+def _checked_areas(corners: np.ndarray) -> np.ndarray:
+    """Areas of triangles (m, 3, 3); the one test of whether one is degenerate.
+
+    A triangle is degenerate when its area is at most DEGENERATE_AREA_FACTOR
+    times the squared bbox diagonal of all the corners given. The floor
+    scales with the set and ignores where it sits, so a scaled or moved copy
+    of a valid set stays valid. Raises DegenerateTriangleError with the
+    indices of the degenerate triangles.
+    """
+    areas = 0.5 * np.linalg.norm(_area_vectors(corners), axis=1)
+    flat = corners.reshape(-1, 3)
+    diag = float(np.linalg.norm(flat.max(axis=0) - flat.min(axis=0)))
+    bad = np.nonzero(areas <= DEGENERATE_AREA_FACTOR * diag * diag)[0]
+    if len(bad):
+        raise DegenerateTriangleError(bad.tolist())
+    return areas
 
 
 @dataclass(frozen=True)
@@ -81,17 +96,10 @@ class SurfaceMesh:
             )
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "triangles", triangles)
-        self._check_degenerate()
+        _checked_areas(vertices[triangles])
         self._check_watertight()
         vertices.setflags(write=False)
         triangles.setflags(write=False)
-
-    def _check_degenerate(self):
-        diag = self.bbox_diagonal
-        areas = _triangle_areas(self.vertices, self.triangles)
-        bad = np.nonzero(areas <= DEGENERATE_AREA_FACTOR * diag * diag)[0]
-        if len(bad):
-            raise DegenerateTriangleError(bad.tolist())
 
     def _check_watertight(self):
         tri = self.triangles
@@ -135,11 +143,6 @@ class SurfaceMesh:
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
-    @property
-    def bbox_diagonal(self) -> float:
-        lo, hi = self.bbox
-        return float(np.linalg.norm(hi - lo))
-
     def transformed(self, fn) -> "SurfaceMesh":
         """Return a new mesh with vertices mapped through ``fn``."""
         return SurfaceMesh(fn(self.vertices.copy()), self.triangles.copy())
@@ -168,11 +171,7 @@ class PanelSystem:
             raise MeshFormatError("corners must be an (m, 3, 3) array")
         if not np.all(np.isfinite(corners)):
             raise NonFiniteInputError("panel corners contain non-finite values")
-        e1 = corners[:, 1] - corners[:, 0]
-        e2 = corners[:, 2] - corners[:, 0]
-        areas = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
-        if np.any(areas <= 0.0):
-            raise DegenerateTriangleError(np.nonzero(areas <= 0.0)[0].tolist())
+        areas = _checked_areas(corners)
         centroids = corners.mean(axis=1)
         for arr in (corners, areas, centroids):
             arr.setflags(write=False)
@@ -456,9 +455,7 @@ def save_obj(mesh: SurfaceMesh, path: str) -> None:
 def save_stl(mesh: SurfaceMesh, path: str) -> None:
     """Write a binary STL (80-byte header, little-endian float32 triangles)."""
     corners = mesh.vertices[mesh.triangles]
-    e1 = corners[:, 1] - corners[:, 0]
-    e2 = corners[:, 2] - corners[:, 0]
-    normals = np.cross(e1, e2)
+    normals = _area_vectors(corners)
     lengths = np.linalg.norm(normals, axis=1)
     normals = normals / np.where(lengths > 0, lengths, 1.0)[:, None]
     count = len(corners)

@@ -44,9 +44,9 @@ DENOM_EPS = 1e-13
 # Eigenvalue sign tolerance for classification, relative to ||A||.
 SPECTRAL_EPS = 1e-10
 
-# Witness sweep defaults: geometric approach to the denominator pole.
-DEFAULT_SWEEP_STEPS = 40
-DEFAULT_APPROACH_FACTOR = 0.5
+# Witness sweep: geometric approach to the denominator pole.
+SWEEP_STEPS = 40
+APPROACH_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,8 @@ class SymmetricForm:
     eigenvalues: np.ndarray
 
     @classmethod
-    def from_matrix(cls, matrix, asym_tol: float = 1e-8) -> "SymmetricForm":
+    def from_matrix(cls, matrix) -> "SymmetricForm":
+        """Symmetrize ``matrix``; asymmetry above 1e-8 max|entry| is an error."""
         m = np.array(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got shape {m.shape}")
@@ -73,9 +74,9 @@ class SymmetricForm:
             raise NonFiniteInputError("matrix contains non-finite entries")
         scale = float(np.max(np.abs(m)))
         asym = float(np.max(np.abs(m - m.T)))
-        if scale > 0 and asym > asym_tol * scale:
+        if scale > 0 and asym > 1e-8 * scale:
             raise AsymmetricMatrixError(
-                f"matrix asymmetry {asym:.3e} exceeds {asym_tol:.1e} * max|entry|"
+                f"matrix asymmetry {asym:.3e} exceeds 1.0e-08 * max|entry|"
             )
         sym = 0.5 * (m + m.T)
         sym.setflags(write=False)
@@ -164,12 +165,7 @@ def classify(form: SymmetricForm) -> str:
     return "zero"
 
 
-def find_witness(
-    form: SymmetricForm,
-    u,
-    sweep_steps: int = DEFAULT_SWEEP_STEPS,
-    approach_factor: float = DEFAULT_APPROACH_FACTOR,
-) -> Optional[IndefinitenessWitness]:
+def find_witness(form: SymmetricForm, u) -> Optional[IndefinitenessWitness]:
     """Construct v = lambda*z + w with an unbounded quotient, if one exists.
 
     Returns None for operators that are not indefinite, and for the measure-
@@ -178,10 +174,6 @@ def find_witness(
     bounded along this particular family).
     """
     u = _vector(u, form.n, "u")
-    if not 0.0 < approach_factor < 1.0:
-        raise ValueError(f"approach_factor must be in (0, 1), got {approach_factor}")
-    if sweep_steps < 1:
-        raise ValueError(f"sweep_steps must be >= 1, got {sweep_steps}")
     if classify(form) != "indefinite":
         return None
     evals, evecs = np.linalg.eigh(form.matrix)
@@ -207,8 +199,8 @@ def find_witness(
 
     delta0 = 0.5 * min(-lambda1, lambda2)
     best = None
-    for k in range(int(sweep_steps)):
-        delta = delta0 * approach_factor**k
+    for k in range(SWEEP_STEPS):
+        delta = delta0 * APPROACH_FACTOR**k
         for lam in (lambda1 - delta, lambda2 + delta):
             v = lam * z + w
             q = quotient(form, u, v)
@@ -228,17 +220,13 @@ def find_witness(
 
 
 def verify_principle(
-    form: SymmetricForm,
-    u,
-    random_trials: int = 1000,
-    seed: int = 0,
-    fallback_trials: int = 10_000,
+    form: SymmetricForm, u, random_trials: int = 1000, seed: int = 0
 ) -> PrincipleReport:
     """Probe the principle at v = u, random unit vectors and the witness.
 
     Deterministic for a fixed seed. For indefinite operators whose witness
-    search comes back empty (or not exceeding (Au, u)), a random-direction
-    fallback of up to ``fallback_trials`` probes is added.
+    search comes back empty (or not exceeding (Au, u)), 10,000 more random
+    directions are probed.
     """
     u = _vector(u, form.n, "u")
     if random_trials < 1:
@@ -251,8 +239,6 @@ def verify_principle(
     rng = np.random.default_rng(seed)
 
     def random_best(trials: int) -> float:
-        if trials <= 0:
-            return -math.inf
         v = rng.standard_normal((trials, form.n))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         av = v @ form.matrix
@@ -271,7 +257,7 @@ def verify_principle(
         if witness is not None:
             best = max(best, witness.quotient)
         if witness is None or witness.quotient <= qfu:
-            best = max(best, random_best(int(fallback_trials)))
+            best = max(best, random_best(10_000))
 
     attained = abs(at_u.value - qfu) <= 1e-10 * (1.0 + abs(qfu))
     report_cls = "nonneg" if cls == "zero" else cls

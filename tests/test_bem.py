@@ -115,6 +115,15 @@ class TestTrianglePotential:
         with pytest.raises(DegenerateTriangleError):
             triangle_potential([0.0, 0.0, 1.0], tri)
 
+    def test_small_and_distant_triangles_accepted(self):
+        # The potential is homogeneous of degree 1 and translation-invariant.
+        p = TRI.mean(axis=0) + np.array([0.1, -0.2, 0.3])
+        ref = triangle_potential(p, TRI)
+        for s in (1e-8, 1e-20):
+            assert triangle_potential(s * p, s * TRI) == pytest.approx(s * ref, rel=1e-12)
+        shift = np.array([1e7, -1e7, 0.0])
+        assert triangle_potential(p + shift, TRI + shift) == pytest.approx(ref, rel=1e-8)
+
     def test_positive_everywhere(self):
         rng = np.random.default_rng(23)
         pts = rng.standard_normal((50, 3)) * 3.0

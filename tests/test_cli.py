@@ -82,6 +82,17 @@ class TestSolve:
         # The file copy matches what was printed.
         assert json.loads(out_path.read_text()) == report
 
+    def test_small_sphere_scales(self, capsys):
+        caps = []
+        for radius in ("1", "1e-7"):
+            code, out = run_cli(
+                capsys, "solve", "--shape", "icosphere", "--radius", radius,
+                "--subdiv", "2", "--json",
+            )
+            assert code == EXIT_OK, out
+            caps.append(json.loads(out)["capacitance"]["C"])
+        assert abs(caps[1] / 1e-7 - caps[0]) <= 1e-12 * caps[0]
+
     def test_text_report(self, capsys):
         code, out = run_cli(capsys, "solve", "--shape", "icosphere", "--subdiv", "1")
         assert code == EXIT_OK
@@ -135,6 +146,20 @@ class TestConverge:
         assert extra is not None
         assert len(extra["pair_estimates"]) == 2
         assert extra["limit"] / (4 * math.pi) == pytest.approx(0.66, abs=0.01)
+
+    def test_computes_only_reported_values(self, capsys, monkeypatch):
+        # convreport/1 has no SPD diagnostics or subspace bounds per level.
+        def unused(*args, **kwargs):
+            raise AssertionError("converge computed a value it does not report")
+
+        monkeypatch.setattr(varcap.bem, "spd_check", unused)
+        monkeypatch.setattr(varcap.capacitance, "bound_ledger", unused)
+        code, out = run_cli(
+            capsys, "converge", "--shape", "icosphere", "--levels", "1,2", "--json"
+        )
+        assert code == EXIT_OK, out
+        for row in json.loads(out)["rows"]:
+            assert 0 < row["c_zeroth"] <= row["C"]
 
     def test_two_levels_no_extrapolation(self, capsys):
         code, out = run_cli(

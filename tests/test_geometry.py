@@ -158,6 +158,25 @@ class TestPanels:
             4.0 * varcap.build_panels(mesh).total_area, rel=1e-14
         )
 
+    def test_sliver_reported_by_panel_index(self):
+        mesh = varcap.make_icosphere(1.0, 1)
+        corners = mesh.vertices[mesh.triangles]
+        a, b, c = corners[7]
+        normal = np.cross(b - a, c - a)
+        corners[7, 2] = 0.5 * (a + b) + 1e-16 * normal / np.linalg.norm(normal)
+        with pytest.raises(DegenerateTriangleError) as info:
+            varcap.PanelSystem.from_triangles(corners)
+        assert info.value.indices == [7]
+
+    def test_far_translation_keeps_capacitance(self, solved):
+        # The degeneracy floor ignores position, so a mesh far from the
+        # origin is accepted and gives the same capacitance.
+        base = solved("sphere2")
+        moved = base.mesh.transformed(lambda v: v + [1e7, 0.0, 0.0])
+        system = varcap.assemble(varcap.build_panels(moved))
+        c = varcap.solve_capacitance(system).capacitance
+        assert abs(c - base.solution.capacitance) <= 1e-10 * base.solution.capacitance
+
 
 class TestFileRoundTrips:
     def test_obj_round_trip_exact(self, tmp_path):
