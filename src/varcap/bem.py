@@ -3,10 +3,11 @@
 Matrix entries are the double surface integrals of 1/(4 pi |s - t|) over
 panel pairs: the inner integral uses the closed-form potential of a
 uniformly charged triangle, the outer one a symmetric triangle quadrature.
-The diagonal has a closed form. Panel pairs that touch (shared edge or
-vertex) and near pairs use collapsed tensor Gauss rules graded toward the
-shared feature, so the recorded pre-symmetrization asymmetry stays at
-round-off scale.
+The far field evaluates each panel pair once, (i, j) with i < j, and mirrors
+it to (j, i). The diagonal has a closed form. Panel pairs that touch (shared
+edge or vertex) and near pairs use collapsed tensor Gauss rules graded
+toward the shared feature in both directions; their recorded asymmetry
+stays at round-off scale before the two are averaged.
 """
 
 from __future__ import annotations
@@ -199,25 +200,34 @@ def _dot3(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _potential_batch(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Batched closed-form potential: points (3, P, K), tris (P, 3, 3) -> (P, K).
+def _source_terms(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-source kernel terms of triangles (P, 3, 3): (n, length, edge_normal).
 
-    Points are component-major, so every per-point temporary is a contiguous
-    (P, K) array. Triangles are not checked here: a degenerate one gives
-    non-finite values, so callers pass triangles that PanelSystem or
-    triangle_potentials has validated.
+    n (P, 3) is the unit normal; for the edge e_k = v_k2 - v_k1 opposite
+    corner k, length (P, 3) is |e_k| and edge_normal (P, 3, 3) the unit
+    in-plane edge normal n x e_k / |e_k|. As r_k2 = r_k1 - e_k, the edge
+    prefactor (r_k1 x r_k2) . n equals r_k1 . (n x e_k).
     """
-    # Per-source terms, once per triangle: the unit normal n and, for the
-    # edge e_k = v_k2 - v_k1 opposite corner k, its length and the unit
-    # in-plane edge normal n x e_k / |e_k|. As r_k2 = r_k1 - e_k, the edge
-    # prefactor (r_k1 x r_k2) . n equals r_k1 . (n x e_k).
     edges = tris[:, [2, 0, 1]] - tris[:, [1, 2, 0]]
     nvec = _cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
     two_area = np.sqrt(np.einsum("pd,pd->p", nvec, nvec))
     n = nvec / two_area[:, None]
     length = np.sqrt(np.einsum("pkd,pkd->pk", edges, edges))
     edge_normal = _cross(n[:, None, :], edges) / length[:, :, None]
+    return n, length, edge_normal
 
+
+def _potential_batch(points: np.ndarray, tris: np.ndarray, terms) -> np.ndarray:
+    """Batched closed-form potential: points (3, P, K), tris (P, 3, 3) -> (P, K).
+
+    Points are component-major, so every per-point temporary is a contiguous
+    (P, K) array. ``terms`` are the triangles' ``_source_terms``: assembly
+    computes them once for all panels and passes slices, which saves about a
+    fifth of the far field. Triangles are not checked here: a degenerate one
+    gives non-finite values, so callers pass triangles that PanelSystem or
+    triangle_potentials has validated.
+    """
+    n, length, edge_normal = terms
     shape = points.shape[1:]
     r = [[points[d] - tris[:, c, d, None] for d in range(3)] for c in range(3)]
     tmp, s, num, pref = (np.empty(shape) for _ in range(4))
@@ -273,7 +283,7 @@ def triangle_potentials(points, corners) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     v = np.asarray(corners, dtype=np.float64).reshape(1, 3, 3)
     _checked_areas(v)
-    return _potential_batch(np.ascontiguousarray(pts.T)[:, None, :], v)[0]
+    return _potential_batch(np.ascontiguousarray(pts.T)[:, None, :], v, _source_terms(v))[0]
 
 
 def triangle_potential(point, corners) -> float:
@@ -341,10 +351,12 @@ class ClassStats:
 class GalerkinSystem:
     """Dense symmetric Galerkin matrix with panel areas and diagnostics.
 
-    ``asymmetry_norm`` is max|M - M^T| recorded before the final
-    symmetrization ``M <- (M + M^T)/2``. ``assembly`` maps each entry class
-    to its work; the far field computes every entry and the other classes
-    overwrite theirs.
+    ``assembly`` maps each entry class to its work. The far field computes
+    each off-diagonal pair once and mirrors it; the diagonal and the
+    refined classes (edge, vertex, near) overwrite theirs, the refined ones
+    in both directions. ``asymmetry_norm`` is max|M - M^T| over the refined
+    pairs, recorded before each is set to its mean ``(M_rs + M_sr) / 2``;
+    the mirrored far entries are exactly symmetric.
     """
 
     matrix: np.ndarray
@@ -406,7 +418,7 @@ def _apply_corrections(matrix, corners, areas, rows, perms, srcs, pts_bary, wts)
         src = srcs[s : s + chunk]
         outer = corners[r[:, None], perms[s : s + chunk]]
         pts = outer.transpose(2, 0, 1) @ pts_bary.T
-        vals = _potential_batch(pts, corners[src])
+        vals = _potential_batch(pts, corners[src], _source_terms(corners[src]))
         vals *= wts
         matrix[r, src] = areas[r] * vals.sum(axis=1)
 
@@ -448,25 +460,36 @@ def assemble(
     nq = len(rule.weights)
     stats: dict[str, ClassStats] = {}
 
-    # Far field, every panel as a source. Outer points component-major,
-    # (3, 1, m * nq), built once.
+    # Far field, once per panel pair: column j evaluates the rows i < j with
+    # panel j as the source, and row j gets a copy. Outer points are
+    # component-major, (3, 1, m * nq), and the source terms are computed once.
     start = time.perf_counter()
     outer_pts = (corners.transpose(2, 0, 1) @ rule.points.T).reshape(3, 1, m * nq)
+    terms = _source_terms(corners)
     matrix = np.empty((m, m))
 
-    def fill_columns(j0, j1):
-        for j in range(j0, j1):
-            pot = _potential_batch(outer_pts, corners[j : j + 1]).reshape(m, nq)
-            matrix[:, j] = areas * (pot @ rule.weights)
+    def fill_column(j):
+        src_terms = tuple(t[j : j + 1] for t in terms)
+        pot = _potential_batch(outer_pts[:, :, : j * nq], corners[j : j + 1], src_terms)
+        matrix[:j, j] = areas[:j] * (pot.reshape(j, nq) @ rule.weights)
+        matrix[j, :j] = matrix[:j, j]
 
-    workers = max(1, int(workers))
-    if workers == 1 or m < 2 * workers:
-        fill_columns(0, m)
+    def fill_column_pairs(p0, p1):
+        # Pair p is columns p and m - 1 - p: every pair has m - 1 rows.
+        for p in range(p0, p1):
+            fill_column(p)
+            if m - 1 - p != p:
+                fill_column(m - 1 - p)
+
+    pairs = (m + 1) // 2
+    workers = max(1, min(int(workers), pairs))
+    if workers == 1:
+        fill_column_pairs(0, pairs)
     else:
-        bounds = np.linspace(0, m, workers + 1).astype(int)
+        bounds = np.linspace(0, pairs, workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_columns, bounds[:-1], bounds[1:]))
-    stats["far"] = ClassStats(m * m, nq, time.perf_counter() - start)
+            list(pool.map(fill_column_pairs, bounds[:-1], bounds[1:]))
+    stats["far"] = ClassStats(m * (m - 1) // 2, nq, time.perf_counter() - start)
 
     start = time.perf_counter()
     diag = np.arange(m)
@@ -488,13 +511,18 @@ def assemble(
 
     matrix /= FOUR_PI
 
-    bad = np.argwhere(~np.isfinite(matrix))
-    if len(bad):
-        i, j = bad[0]
+    if not np.isfinite(matrix).all():
+        i, j = np.argwhere(~np.isfinite(matrix))[0]
         raise AssemblyError(f"non-finite matrix entry for panel pair ({i}, {j})")
 
-    asym = float(np.max(np.abs(matrix - matrix.T))) if m > 1 else 0.0
-    matrix = 0.5 * (matrix + matrix.T)
+    # Far entries are mirrored, so only the refined classes, which compute
+    # both directions, can differ from their transpose.
+    r = np.concatenate([tasks[case][0] for case in NEAR_RULES])
+    c = np.concatenate([tasks[case][2] for case in NEAR_RULES])
+    r, c = r[r < c], c[r < c]
+    upper, lower = matrix[r, c], matrix[c, r]
+    asym = float(np.max(np.abs(upper - lower), initial=0.0))
+    matrix[r, c] = matrix[c, r] = 0.5 * (upper + lower)
     matrix.setflags(write=False)
     return GalerkinSystem(matrix, areas, panels.total_area, asym, panels.centroids, stats)
 

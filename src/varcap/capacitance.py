@@ -57,6 +57,7 @@ class ZerothApproximation:
 @dataclass(frozen=True)
 class BoundLedger:
     c_zeroth: float
+    j_integral: float
     subspace_bounds: tuple[tuple[str, float], ...]
     gauss_at_sigma: float
     capacitance: float
@@ -194,4 +195,4 @@ def bound_ledger(system: GalerkinSystem, solution: ChargeSolution) -> BoundLedge
         for name, cols in trial_families(system.centroids)
     )
     gauss = gauss_functional(system, solution.sigma)
-    return BoundLedger(zeroth.c_zeroth, bounds, gauss, solution.capacitance)
+    return BoundLedger(zeroth.c_zeroth, zeroth.j_integral, bounds, gauss, solution.capacitance)

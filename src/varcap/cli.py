@@ -160,7 +160,7 @@ def _solve_pipeline(mesh, quad_order, solver, workers):
 def _solve_report(args, mesh, panels, system, spd, solution, ledger, timings) -> dict:
     lo, hi = mesh.bbox
     return {
-        "schema": "capreport/1",
+        "schema": "capreport/2",
         "config": {
             "command": "solve",
             "mesh": getattr(args, "mesh", None),
@@ -179,7 +179,7 @@ def _solve_report(args, mesh, panels, system, spd, solution, ledger, timings) ->
             "C": ledger.capacitance,
             "C_over_4pi": ledger.capacitance / bem.FOUR_PI,
             "c_zeroth": ledger.c_zeroth,
-            "J": capacitance.zeroth_capacitance(system).j_integral,
+            "J": ledger.j_integral,
             "subspace_bounds": {name: val for name, val in ledger.subspace_bounds},
             "gauss_at_sigma": ledger.gauss_at_sigma,
         },

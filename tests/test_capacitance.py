@@ -190,3 +190,19 @@ class TestBoundLedger:
         assert values[1] >= values[0] * (1 - 1e-12)
         assert values[2] >= values[1] * (1 - 1e-12)
         assert ledger.gauss_at_sigma == pytest.approx(1.0 / c, rel=1e-12)
+        zeroth = zeroth_capacitance(sm.system)
+        assert (ledger.c_zeroth, ledger.j_integral) == (zeroth.c_zeroth, zeroth.j_integral)
+
+
+class TestLowerBound:
+    """The paper's principle: with exact entries, C_h is a lower bound on C."""
+
+    def test_nested_cubes_increase(self, solved):
+        # cube4, cube8 and cube16 are nested, so their panel spaces are too.
+        c4, c8, c16 = (solved(name).solution.capacitance for name in ("cube4", "cube8", "cube16"))
+        assert c4 < c8 < c16
+
+    def test_icospheres_below_sphere_capacity(self, solved):
+        # Each icosphere is inscribed in the unit sphere, whose capacity is 4 pi.
+        for name in ("sphere1", "sphere2", "sphere3", "sphere4"):
+            assert solved(name).solution.capacitance < FOUR_PI, name

@@ -64,7 +64,7 @@ class TestSolve:
         )
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["schema"] == "capreport/1"
+        assert report["schema"] == "capreport/2"
         assert report["capacitance"]["C_over_4pi"] == pytest.approx(0.957, abs=0.01)
         assert report["capacitance"]["c_zeroth"] <= report["capacitance"]["C"]
         assert report["diagnostics"]["cholesky_succeeded"] is True
@@ -72,13 +72,18 @@ class TestSolve:
         # Per-class assembly work: 80 panels, each with 3 edge neighbours;
         # the diagonal is closed-form, so it evaluates no quadrature points.
         assembly = report["diagnostics"]["assembly"]
-        assert assembly["far"] == {"entries": 80 * 80, "points_per_entry": 6}
+        assert assembly["far"] == {"entries": 80 * 79 // 2, "points_per_entry": 6}
         assert assembly["self"] == {"entries": 80, "points_per_entry": 0}
         assert assembly["edge"] == {"entries": 240, "points_per_entry": 100}
         assert assembly["vertex"]["points_per_entry"] == 64
         assert assembly["near"]["points_per_entry"] == 64
         for name in assembly:
             assert report["timings"][f"assemble_{name}_s"] >= 0.0
+        # J comes from the bound ledger's zeroth approximation, bitwise equal
+        # to a separate zeroth_capacitance call on the same system.
+        system = varcap.assemble(varcap.build_panels(varcap.make_icosphere(1.0, 1)))
+        j_integral = varcap.zeroth_capacitance(system).j_integral
+        assert report["capacitance"]["J"] == j_integral
         # The file copy matches what was printed.
         assert json.loads(out_path.read_text()) == report
 
