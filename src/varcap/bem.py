@@ -3,11 +3,12 @@
 Matrix entries are the double surface integrals of 1/(4 pi |s - t|) over
 panel pairs: the inner integral uses the closed-form potential of a
 uniformly charged triangle, the outer one a symmetric triangle quadrature.
-The far field evaluates each panel pair once, (i, j) with i < j, and mirrors
-it to (j, i). The diagonal has a closed form. Panel pairs that touch (shared
-edge or vertex) and near pairs use collapsed tensor Gauss rules graded
-toward the shared feature in both directions; their recorded asymmetry
-stays at round-off scale before the two are averaged.
+The far field and the near ring evaluate each panel pair once, (i, j) with
+i < j, and mirror it to (j, i). The diagonal has a closed form. Panel pairs
+that touch (shared edge or vertex) use collapsed tensor Gauss rules graded
+toward the shared feature in both directions, whose difference is recorded
+before the two are averaged. No kernel call takes more than POINTS_PER_CALL
+evaluation points.
 """
 
 from __future__ import annotations
@@ -47,7 +48,12 @@ DEFAULT_QUAD_ORDER = 4
 # (_self_integrals). Touching pairs and the near ring (other pairs whose
 # centroids are closer than NEAR_FACTOR times the sum of the panel radii)
 # use a tensor Gauss-Legendre rule on the outer triangle, collapsed at one
-# corner (Duffy), with radial nodes s(sigma) graded toward the shared feature:
+# corner (Duffy), with radial nodes s(sigma) graded toward the shared feature.
+# Edge and vertex pairs are evaluated in both directions and averaged, as
+# their two directions differ by the rule's error; a near-ring pair (i, j),
+# i < j, is evaluated once with panel i as the outer triangle and mirrored,
+# which moves C by at most 1.5e-12 relative on sphere3, cube8 and the 2:1:1
+# ellipsoid (per-entry asymmetry at most 1.6e-8 there).
 #
 #   class   collapsed at   s(sigma)           nodes  degree  max entry error
 #   edge    corner 2       1 - (1 - sigma)^3  10x10  4       1.1e-7
@@ -69,6 +75,13 @@ NEAR_RULES = {
     "near": (0, 8, lambda x: (x, np.ones_like(x))),
 }
 NEAR_FACTOR = 2.0
+
+# Evaluation points per _potential_batch call. The kernel keeps 17
+# temporaries of this many doubles, 2.2 MB at 16k, about one 2 MB L2 cache.
+# On a 2-core x86 VM, 16k against 50k ran each class 11-21% faster (sphere3
+# near ring 0.175 -> 0.144 s, cube8 vertex 0.072 -> 0.058 s, far field
+# 15-19%); 4k, 8k and 32k were slower than 16k.
+POINTS_PER_CALL = 16_384
 
 
 @dataclass(frozen=True)
@@ -207,12 +220,15 @@ def _source_terms(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     corner k, length (P, 3) is |e_k| and edge_normal (P, 3, 3) the unit
     in-plane edge normal n x e_k / |e_k|. As r_k2 = r_k1 - e_k, the edge
     prefactor (r_k1 x r_k2) . n equals r_k1 . (n x e_k).
+    Squared norms are summed component by component, so a triangle's terms
+    do not depend on how many triangles are passed with it; einsum's sums
+    did, in the last bit.
     """
     edges = tris[:, [2, 0, 1]] - tris[:, [1, 2, 0]]
     nvec = _cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    two_area = np.sqrt(np.einsum("pd,pd->p", nvec, nvec))
+    two_area = np.sqrt(nvec[..., 0] ** 2 + nvec[..., 1] ** 2 + nvec[..., 2] ** 2)
     n = nvec / two_area[:, None]
-    length = np.sqrt(np.einsum("pkd,pkd->pk", edges, edges))
+    length = np.sqrt(edges[..., 0] ** 2 + edges[..., 1] ** 2 + edges[..., 2] ** 2)
     edge_normal = _cross(n[:, None, :], edges) / length[:, :, None]
     return n, length, edge_normal
 
@@ -221,14 +237,15 @@ def _potential_batch(points: np.ndarray, tris: np.ndarray, terms) -> np.ndarray:
     """Batched closed-form potential: points (3, P, K), tris (P, 3, 3) -> (P, K).
 
     Points are component-major, so every per-point temporary is a contiguous
-    (P, K) array. ``terms`` are the triangles' ``_source_terms``: assembly
-    computes them once for all panels and passes slices, which saves about a
-    fifth of the far field. Triangles are not checked here: a degenerate one
-    gives non-finite values, so callers pass triangles that PanelSystem or
-    triangle_potentials has validated.
+    (P, K) array; points (3, 1, K) are shared by all P triangles. ``terms``
+    are the triangles' ``_source_terms``: assembly computes them once for all
+    panels and passes slices, which saves about a fifth of the far field.
+    Triangles are not checked here: a degenerate one gives non-finite values,
+    so callers pass triangles that PanelSystem or triangle_potentials has
+    validated.
     """
     n, length, edge_normal = terms
-    shape = points.shape[1:]
+    shape = np.broadcast_shapes(points.shape[1:], (len(tris), 1))
     r = [[points[d] - tris[:, c, d, None] for d in range(3)] for c in range(3)]
     tmp, s, num, pref = (np.empty(shape) for _ in range(4))
     dist = [_dot3(rc, rc, np.empty(shape), tmp) for rc in r]
@@ -353,10 +370,13 @@ class GalerkinSystem:
 
     ``assembly`` maps each entry class to its work. The far field computes
     each off-diagonal pair once and mirrors it; the diagonal and the
-    refined classes (edge, vertex, near) overwrite theirs, the refined ones
-    in both directions. ``asymmetry_norm`` is max|M - M^T| over the refined
-    pairs, recorded before each is set to its mean ``(M_rs + M_sr) / 2``;
-    the mirrored far entries are exactly symmetric.
+    refined classes (edge, vertex, near) overwrite theirs. The near ring,
+    like the far field, is computed once per pair and mirrored, so its
+    entries count pairs; edge and vertex entries are computed in both
+    directions and count both. ``asymmetry_norm`` is max|M - M^T| over the
+    edge and vertex pairs, recorded before each is set to its mean
+    ``(M_rs + M_sr) / 2``; the mirrored far and near entries are exactly
+    symmetric.
     """
 
     matrix: np.ndarray
@@ -402,17 +422,15 @@ def _apply_corrections(matrix, corners, areas, rows, perms, srcs, pts_bary, wts)
     ``perms`` permutes each outer triangle's corners so the shared feature
     sits where the graded rule expects it. Each entry's weighted sum is a
     row sum of its own values, so it does not depend on the entry's place
-    in a chunk or on the order of the pairs. Chunks of about 50k quadrature
-    points bound the kernel's temporaries (17 chunk-sized arrays, ~7 MB);
-    10k, 20k and 50k gave the same sphere3 assembly time on a 2-core x86
-    box (2.3-2.7 s, within the run-to-run spread).
+    in a chunk or on the order of the pairs. Each kernel call takes a chunk
+    of pairs with at most POINTS_PER_CALL outer points in all.
     """
     if not len(rows):
         return
     rows = np.asarray(rows, dtype=np.intp)
     srcs = np.asarray(srcs, dtype=np.intp)
     perms = np.asarray(perms, dtype=np.intp)
-    chunk = max(1, 50_000 // len(wts))
+    chunk = max(1, POINTS_PER_CALL // len(wts))
     for s in range(0, len(rows), chunk):
         r = rows[s : s + chunk]
         src = srcs[s : s + chunk]
@@ -463,32 +481,53 @@ def assemble(
     # Far field, once per panel pair: column j evaluates the rows i < j with
     # panel j as the source, and row j gets a copy. Outer points are
     # component-major, (3, 1, m * nq), and the source terms are computed once.
+    # Short columns share a kernel call: a block of sources [j0, j1), as many
+    # as fit (j1 - j0) j1 <= max_rows, takes the rows i < j1 in one call and
+    # keeps i < j. A column too long for one call is split into runs of rows.
+    # Either way a call has at most POINTS_PER_CALL points, and the blocks
+    # depend on m alone.
     start = time.perf_counter()
     outer_pts = (corners.transpose(2, 0, 1) @ rule.points.T).reshape(3, 1, m * nq)
     terms = _source_terms(corners)
     matrix = np.empty((m, m))
+    max_rows = POINTS_PER_CALL // nq
 
-    def fill_column(j):
-        src_terms = tuple(t[j : j + 1] for t in terms)
-        pot = _potential_batch(outer_pts[:, :, : j * nq], corners[j : j + 1], src_terms)
-        matrix[:j, j] = areas[:j] * (pot.reshape(j, nq) @ rule.weights)
-        matrix[j, :j] = matrix[:j, j]
+    def fill_block(j0, j1):
+        src_terms = tuple(t[j0:j1] for t in terms)
+        step = max_rows // (j1 - j0)
+        for r0 in range(0, j1, step):
+            r1 = min(j1, r0 + step)
+            pot = _potential_batch(outer_pts[:, :, r0 * nq : r1 * nq], corners[j0:j1], src_terms)
+            vals = areas[r0:r1] * (pot.reshape(j1 - j0, r1 - r0, nq) @ rule.weights)
+            for j in range(max(j0, r0 + 1), j1):
+                matrix[r0 : min(j, r1), j] = vals[j - j0, : min(j, r1) - r0]
+        for j in range(j0, j1):
+            matrix[j, :j] = matrix[:j, j]
 
-    def fill_column_pairs(p0, p1):
-        # Pair p is columns p and m - 1 - p: every pair has m - 1 rows.
-        for p in range(p0, p1):
-            fill_column(p)
-            if m - 1 - p != p:
-                fill_column(m - 1 - p)
+    blocks, j0 = [], 0
+    while j0 < m:
+        j1 = j0 + 1
+        while j1 < m and (j1 + 1 - j0) * (j1 + 1) <= max_rows:
+            j1 += 1
+        blocks.append((j0, j1))
+        j0 = j1
+    # Worker k takes every workers-th block from block k; the calling thread
+    # is worker 0. Each pool thread's malloc arena keeps the peak of its
+    # kernel temporaries after the pool ends, so one thread fewer also
+    # keeps the peak RSS down (cube converge, workers=2: 96.3 -> 93.4 MiB).
+    workers = max(1, min(int(workers), len(blocks)))
 
-    pairs = (m + 1) // 2
-    workers = max(1, min(int(workers), pairs))
+    def fill_share(k):
+        for block in blocks[k::workers]:
+            fill_block(*block)
+
     if workers == 1:
-        fill_column_pairs(0, pairs)
+        fill_share(0)
     else:
-        bounds = np.linspace(0, pairs, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_column_pairs, bounds[:-1], bounds[1:]))
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            shares = pool.map(fill_share, range(1, workers))
+            fill_share(0)
+            list(shares)
     stats["far"] = ClassStats(m * (m - 1) // 2, nq, time.perf_counter() - start)
 
     start = time.perf_counter()
@@ -497,9 +536,8 @@ def assemble(
     stats["self"] = ClassStats(m, 0, time.perf_counter() - start)
 
     touching, tasks = _touching_pairs(corners)
-    i, j = _near_ring(corners, panels.centroids, touching).T
-    rows, srcs = np.concatenate([i, j]), np.concatenate([j, i])
-    tasks["near"] = (rows, np.tile((0, 1, 2), (len(rows), 1)), srcs)
+    near_i, near_j = _near_ring(corners, panels.centroids, touching).T
+    tasks["near"] = (near_i, np.tile((0, 1, 2), (len(near_i), 1)), near_j)
 
     rules = _refined_rules()
     for case in ("edge", "vertex", "near"):
@@ -508,6 +546,7 @@ def assemble(
         pts, wts = rules[case]
         _apply_corrections(matrix, corners, areas, rows, perms, srcs, pts, wts)
         stats[case] = ClassStats(len(rows), len(wts), time.perf_counter() - start)
+    matrix[near_j, near_i] = matrix[near_i, near_j]
 
     matrix /= FOUR_PI
 
@@ -515,10 +554,10 @@ def assemble(
         i, j = np.argwhere(~np.isfinite(matrix))[0]
         raise AssemblyError(f"non-finite matrix entry for panel pair ({i}, {j})")
 
-    # Far entries are mirrored, so only the refined classes, which compute
-    # both directions, can differ from their transpose.
-    r = np.concatenate([tasks[case][0] for case in NEAR_RULES])
-    c = np.concatenate([tasks[case][2] for case in NEAR_RULES])
+    # Far and near-ring entries are mirrored, so only the edge and vertex
+    # pairs, which compute both directions, can differ from their transpose.
+    r = np.concatenate([tasks[case][0] for case in ("edge", "vertex")])
+    c = np.concatenate([tasks[case][2] for case in ("edge", "vertex")])
     r, c = r[r < c], c[r < c]
     upper, lower = matrix[r, c], matrix[c, r]
     asym = float(np.max(np.abs(upper - lower), initial=0.0))

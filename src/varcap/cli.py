@@ -160,7 +160,7 @@ def _solve_pipeline(mesh, quad_order, solver, workers):
 def _solve_report(args, mesh, panels, system, spd, solution, ledger, timings) -> dict:
     lo, hi = mesh.bbox
     return {
-        "schema": "capreport/2",
+        "schema": "capreport/3",
         "config": {
             "command": "solve",
             "mesh": getattr(args, "mesh", None),

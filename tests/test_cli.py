@@ -64,7 +64,7 @@ class TestSolve:
         )
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["schema"] == "capreport/2"
+        assert report["schema"] == "capreport/3"
         assert report["capacitance"]["C_over_4pi"] == pytest.approx(0.957, abs=0.01)
         assert report["capacitance"]["c_zeroth"] <= report["capacitance"]["C"]
         assert report["diagnostics"]["cholesky_succeeded"] is True
@@ -76,7 +76,8 @@ class TestSolve:
         assert assembly["self"] == {"entries": 80, "points_per_entry": 0}
         assert assembly["edge"] == {"entries": 240, "points_per_entry": 100}
         assert assembly["vertex"]["points_per_entry"] == 64
-        assert assembly["near"]["points_per_entry"] == 64
+        # Near-ring pairs are evaluated once and mirrored: 1,350 pairs.
+        assert assembly["near"] == {"entries": 1350, "points_per_entry": 64}
         for name in assembly:
             assert report["timings"][f"assemble_{name}_s"] >= 0.0
         # J comes from the bound ledger's zeroth approximation, bitwise equal
