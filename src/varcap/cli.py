@@ -10,8 +10,6 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import bem, capacitance, geometry, varprinciple
 from .errors import (
     AssemblyError,
@@ -116,9 +114,15 @@ def _infer_format(path: str) -> str:
     if lower.endswith(".obj"):
         return "obj"
     if lower.endswith(".stl"):
+        # Some exporters begin a binary header with "solid" too; a file whose
+        # length matches the facet count in its header is binary.
         with open(path, "rb") as fh:
-            head = fh.read(5)
-        return "stl-ascii" if head == b"solid" else "stl-binary"
+            head = fh.read(84)
+            size = fh.seek(0, 2)
+        count = int.from_bytes(head[80:84], "little")
+        if head.startswith(b"solid") and size != 84 + 50 * count:
+            return "stl-ascii"
+        return "stl-binary"
     raise MeshFormatError(f"cannot infer mesh format from {path!r}; pass --format")
 
 
@@ -133,16 +137,15 @@ def _shape_config(args) -> dict:
     return cfg
 
 
-def _solve_pipeline(mesh, quad_order, solver, workers):
+def _solve_pipeline(mesh, workers):
     t0 = time.perf_counter()
     panels = geometry.build_panels(mesh)
-    rule = bem.triangle_rule(quad_order)
     t1 = time.perf_counter()
-    system = bem.assemble(panels, rule, workers=workers)
+    system = bem.assemble(panels, workers=workers)
     t2 = time.perf_counter()
     spd = bem.spd_check(system)
     t3 = time.perf_counter()
-    solution = capacitance.solve_capacitance(system, method=solver)
+    solution = capacitance.solve_capacitance(system)
     t4 = time.perf_counter()
     ledger = capacitance.bound_ledger(system, solution)
     t5 = time.perf_counter()
@@ -165,8 +168,8 @@ def _solve_report(args, mesh, panels, system, spd, solution, ledger, timings) ->
             "command": "solve",
             "mesh": getattr(args, "mesh", None),
             **_shape_config(args),
-            "quad_order": args.quad_order,
-            "solver": args.solver,
+            "quad_order": bem.DEFAULT_QUAD_ORDER,
+            "solver": "direct",
             "seed": args.seed,
         },
         "mesh": {
@@ -252,9 +255,7 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     mesh = _mesh_source(args)
-    panels, system, spd, solution, ledger, timings = _solve_pipeline(
-        mesh, args.quad_order, args.solver, args.workers
-    )
+    panels, system, spd, solution, ledger, timings = _solve_pipeline(mesh, args.workers)
     report = _solve_report(args, mesh, panels, system, spd, solution, ledger, timings)
     _emit(report, args.out, args.json, _solve_text(report))
     return EXIT_OK
@@ -302,13 +303,12 @@ def cmd_converge(args) -> int:
                 f"--levels {args.levels!r} must {rule}: Richardson extrapolation "
                 "assumes a refinement ratio of 2"
             )
-    # convreport/1 carries C and C0 per level, so no SPD check or bound ledger.
-    rule = bem.triangle_rule(args.quad_order)
+    # convreport/2 carries C and C0 per level, so no SPD check or bound ledger.
     rows = []
     for level in levels:
         panels = geometry.build_panels(_build_shape(args, level=level))
-        system = bem.assemble(panels, rule, workers=args.workers)
-        c = capacitance.solve_capacitance(system, method=args.solver).capacitance
+        system = bem.assemble(panels, workers=args.workers)
+        c = capacitance.solve_capacitance(system).capacitance
         rows.append(
             {
                 "level": level,
@@ -325,14 +325,13 @@ def cmd_converge(args) -> int:
         for r in rows:
             r["error_vs_limit"] = abs(r["C"] - limit)
     report = {
-        "schema": "convreport/1",
+        "schema": "convreport/2",
         "config": {
             "command": "converge",
             **_shape_config(args),
             "levels": levels,
-            "quad_order": args.quad_order,
-            "solver": args.solver,
-            "seed": args.seed,
+            "quad_order": bem.DEFAULT_QUAD_ORDER,
+            "solver": "direct",
         },
         "rows": rows,
         "extrapolation": extrapolation,
@@ -375,6 +374,8 @@ def cmd_verify_principle(args) -> int:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MeshFormatError(f"{args.input}: invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise VarcapError(f"{args.input}: expected a JSON object, got {type(payload).__name__}")
     if payload.get("schema") != "symform/1":
         raise VarcapError(
             f"{args.input}: expected schema 'symform/1', got {payload.get('schema')!r}"
@@ -382,10 +383,7 @@ def cmd_verify_principle(args) -> int:
     if "matrix" not in payload or "u" not in payload:
         raise VarcapError(f"{args.input}: missing 'matrix' or 'u'")
     form = varprinciple.SymmetricForm.from_matrix(payload["matrix"])
-    u = np.asarray(payload["u"], dtype=np.float64)
-    report = varprinciple.verify_principle(
-        form, u, random_trials=args.trials, seed=args.seed
-    )
+    report = varprinciple.verify_principle(form, payload["u"])
     qfu = report.quadratic_form_at_u
     holds = (
         report.best_quotient <= qfu * (1.0 + 1e-8) + 1e-12 and report.attained_at_u
@@ -428,9 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shape_args(solve)
     solve.add_argument("--mesh", help="mesh file path (instead of --shape)")
     solve.add_argument("--format", choices=["obj", "stl-ascii", "stl-binary"])
-    solve.add_argument("--quad-order", type=int, default=bem.DEFAULT_QUAD_ORDER)
-    solve.add_argument("--solver", choices=["direct", "cg"], default="direct")
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--seed", type=int, default=0, help="echoed into the report")
     solve.add_argument("--workers", type=int, default=1)
     solve.add_argument("--out")
     solve.add_argument("--json", action="store_true")
@@ -439,9 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     conv = sub.add_parser("converge", help="refinement study with extrapolation")
     _add_shape_args(conv)
     conv.add_argument("--levels", required=True, help="comma-separated refinements")
-    conv.add_argument("--quad-order", type=int, default=bem.DEFAULT_QUAD_ORDER)
-    conv.add_argument("--solver", choices=["direct", "cg"], default="direct")
-    conv.add_argument("--seed", type=int, default=0)
     conv.add_argument("--workers", type=int, default=1)
     conv.add_argument("--out")
     conv.add_argument("--json", action="store_true")
@@ -451,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-principle", help="check the max-quotient principle on a matrix"
     )
     ver.add_argument("--input", required=True, help="symform/1 JSON file")
-    ver.add_argument("--trials", type=int, default=1000)
-    ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--out")
     ver.set_defaults(func=cmd_verify_principle)
     return parser

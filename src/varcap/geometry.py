@@ -231,31 +231,17 @@ def make_icosphere(radius: float, subdivisions: int) -> SurfaceMesh:
             f"subdivisions must be in 0..{MAX_SUBDIVISIONS}, got {subdivisions}"
         )
     verts, faces = _icosahedron()
-    vert_list = [tuple(v) for v in verts]
-    face_list = [tuple(f) for f in faces]
     for _ in range(int(subdivisions)):
-        midpoint_cache: dict[tuple[int, int], int] = {}
-
-        def midpoint(i, j):
-            key = (i, j) if i < j else (j, i)
-            idx = midpoint_cache.get(key)
-            if idx is None:
-                a, b = vert_list[key[0]], vert_list[key[1]]
-                vert_list.append(
-                    ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0, (a[2] + b[2]) / 2.0)
-                )
-                idx = len(vert_list) - 1
-                midpoint_cache[key] = idx
-            return idx
-
-        new_faces = []
-        for a, b, c in face_list:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-        face_list = new_faces
-    verts = np.array(vert_list, dtype=np.float64)
+        # One new vertex per edge, shared by the two faces that border it.
+        edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        ends, inverse = np.unique(edges, axis=0, return_inverse=True)
+        ab, bc, ca = (len(verts) + inverse.reshape(-1, 3)).T
+        verts = np.concatenate([verts, (verts[ends[:, 0]] + verts[ends[:, 1]]) / 2.0])
+        a, b, c = faces.T
+        faces = np.stack(
+            [a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1
+        ).reshape(-1, 3)
     verts *= radius / np.linalg.norm(verts, axis=1)[:, None]
-    faces = np.array(face_list, dtype=np.int64)
     if _signed_volume(verts, faces) < 0:
         faces = faces[:, [0, 2, 1]]
     return SurfaceMesh(verts, faces)
@@ -268,43 +254,31 @@ def make_cube(side: float, panels_per_edge: int) -> SurfaceMesh:
     ppe = int(panels_per_edge)
     if ppe < 1:
         raise VarcapError(f"panels_per_edge must be >= 1, got {panels_per_edge}")
-    # Integer grid keys avoid float comparisons when welding shared edges.
-    index: dict[tuple[int, int, int], int] = {}
-    verts: list[tuple[float, float, float]] = []
-
-    def vid(i, j, k):
-        key = (i, j, k)
-        idx = index.get(key)
-        if idx is None:
-            verts.append((side * i / ppe, side * j / ppe, side * k / ppe))
-            idx = len(verts) - 1
-            index[key] = idx
-        return idx
-
     # Each face: grid origin and in-plane axes chosen so e1 x e2 points outward.
-    face_frames = [
-        ((0, 0, 0), (0, 0, 1), (0, 1, 0)),   # x = 0, outward -x
-        ((ppe, 0, 0), (0, 1, 0), (0, 0, 1)),  # x = side, outward +x
-        ((0, 0, 0), (1, 0, 0), (0, 0, 1)),   # y = 0, outward -y
-        ((0, ppe, 0), (0, 0, 1), (1, 0, 0)),  # y = side, outward +y
-        ((0, 0, 0), (0, 1, 0), (1, 0, 0)),   # z = 0, outward -z
-        ((0, 0, ppe), (1, 0, 0), (0, 1, 0)),  # z = side, outward +z
-    ]
-    tris = []
-    for origin, e1, e2 in face_frames:
-        for p in range(ppe):
-            for q in range(ppe):
-                def corner(dp, dq):
-                    return vid(
-                        origin[0] + (p + dp) * e1[0] + (q + dq) * e2[0],
-                        origin[1] + (p + dp) * e1[1] + (q + dq) * e2[1],
-                        origin[2] + (p + dp) * e1[2] + (q + dq) * e2[2],
-                    )
-
-                c00, c10, c11, c01 = corner(0, 0), corner(1, 0), corner(1, 1), corner(0, 1)
-                tris.append((c00, c10, c11))
-                tris.append((c00, c11, c01))
-    return SurfaceMesh(np.array(verts), np.array(tris, dtype=np.int64))
+    face_frames = np.array(
+        [
+            ((0, 0, 0), (0, 0, 1), (0, 1, 0)),   # x = 0, outward -x
+            ((ppe, 0, 0), (0, 1, 0), (0, 0, 1)),  # x = side, outward +x
+            ((0, 0, 0), (1, 0, 0), (0, 0, 1)),   # y = 0, outward -y
+            ((0, ppe, 0), (0, 0, 1), (1, 0, 0)),  # y = side, outward +y
+            ((0, 0, 0), (0, 1, 0), (1, 0, 0)),   # z = 0, outward -z
+            ((0, 0, ppe), (1, 0, 0), (0, 1, 0)),  # z = side, outward +z
+        ]
+    )
+    origin, e1, e2 = face_frames.transpose(1, 0, 2)[:, :, None, None, None, None, :]
+    # Quad (p, q) splits into corners (00, 10, 11) and (00, 11, 01).
+    p, q = np.meshgrid(np.arange(ppe), np.arange(ppe), indexing="ij")
+    dp = np.array([[0, 1, 1], [0, 1, 0]])
+    dq = np.array([[0, 0, 1], [0, 1, 1]])
+    # Integer grid points (face, p, q, triangle, corner, xyz): welding shared
+    # edges compares integers, not floats.
+    grid = (
+        origin
+        + (p[:, :, None, None, None] + dp[:, :, None]) * e1
+        + (q[:, :, None, None, None] + dq[:, :, None]) * e2
+    )
+    points, inverse = np.unique(grid.reshape(-1, 3), axis=0, return_inverse=True)
+    return SurfaceMesh(side * points / ppe, inverse.reshape(-1, 3))
 
 
 def make_ellipsoid(a: float, b: float, c: float, subdivisions: int) -> SurfaceMesh:
@@ -326,18 +300,11 @@ def _weld(raw_vertices: np.ndarray, raw_triangles: np.ndarray) -> SurfaceMesh:
     diag = float(np.linalg.norm(hi - lo))
     tol = WELD_FACTOR * diag if diag > 0 else WELD_FACTOR
     keys = np.round(raw_vertices / tol).astype(np.int64)
-    index: dict[bytes, int] = {}
-    remap = np.empty(len(raw_vertices), dtype=np.int64)
-    verts = []
-    for i, key in enumerate(keys):
-        kb = key.tobytes()
-        idx = index.get(kb)
-        if idx is None:
-            idx = len(verts)
-            verts.append(raw_vertices[i])
-            index[kb] = idx
-        remap[i] = idx
-    return SurfaceMesh(np.array(verts), remap[raw_triangles])
+    # Each welded vertex keeps the coordinates of its first occurrence.
+    _, first, inverse = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True
+    )
+    return SurfaceMesh(raw_vertices[first], inverse.reshape(-1)[raw_triangles])
 
 
 def _load_obj(path: str) -> SurfaceMesh:

@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatchError,
     InconsistentWitnessError,
     NonFiniteInputError,
+    VarcapError,
 )
 
 __all__ = [
@@ -65,7 +66,7 @@ class SymmetricForm:
     @classmethod
     def from_matrix(cls, matrix) -> "SymmetricForm":
         """Symmetrize ``matrix``; asymmetry above 1e-8 max|entry| is an error."""
-        m = np.array(matrix, dtype=np.float64)
+        m = _floats(matrix, "matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got shape {m.shape}")
         if m.shape[0] < 1:
@@ -127,8 +128,16 @@ class PrincipleReport:
     witness: Optional[IndefinitenessWitness]
 
 
+def _floats(x, name: str) -> np.ndarray:
+    """``x`` as a float64 array; ragged or non-numeric input is a VarcapError."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise VarcapError(f"{name} is not a rectangular array of numbers: {exc}") from exc
+
+
 def _vector(x, n: int, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
+    v = _floats(x, name)
     if v.shape != (n,):
         raise DimensionMismatchError(
             f"{name} must have shape ({n},), got {v.shape}"

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes and error payloads."""
 
+import argparse
 import json
 import math
 
@@ -13,16 +14,58 @@ from varcap.cli import (
     EXIT_OK,
     EXIT_PRINCIPLE,
     EXIT_USAGE,
+    _infer_format,
+    build_parser,
     main,
     richardson_extrapolate,
 )
 from varcap.errors import VarcapError
+
+SHAPE_OPTIONS = {
+    "--shape", "--radius", "--side", "--semiaxes", "--subdiv", "--panels-per-edge"
+}
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+class TestSurface:
+    def test_options_per_subcommand(self):
+        # Every option is listed here, so adding one shows up in review.
+        (sub,) = (
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        options = {
+            name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert options == {
+            "generate": SHAPE_OPTIONS | {"--format", "--out"},
+            "solve": SHAPE_OPTIONS
+            | {"--mesh", "--format", "--seed", "--workers", "--out", "--json"},
+            "converge": SHAPE_OPTIONS | {"--levels", "--workers", "--out", "--json"},
+            "verify-principle": {"--input", "--out"},
+        }
+        assert sum(map(len, options.values())) == 32
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--shape", "icosphere", "--quad-order", "1"],
+            ["solve", "--shape", "icosphere", "--solver", "cg"],
+            ["converge", "--shape", "cube", "--levels", "2,4", "--seed", "0"],
+            ["verify-principle", "--input", "form.json", "--trials", "5"],
+        ],
+    )
+    def test_removed_options_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestGenerate:
@@ -65,6 +108,8 @@ class TestSolve:
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["schema"] == "capreport/3"
+        assert report["config"]["quad_order"] == 4
+        assert report["config"]["solver"] == "direct"
         assert report["capacitance"]["C_over_4pi"] == pytest.approx(0.957, abs=0.01)
         assert report["capacitance"]["c_zeroth"] <= report["capacitance"]["C"]
         assert report["diagnostics"]["cholesky_succeeded"] is True
@@ -112,6 +157,19 @@ class TestSolve:
         assert code == EXIT_OK
         assert json.loads(out)["mesh"]["panels"] == 80
 
+    def test_binary_stl_with_solid_header(self, tmp_path, capsys):
+        # Some exporters begin a binary STL header with "solid".
+        path = tmp_path / "b.stl"
+        varcap.save_stl(varcap.make_icosphere(1.0, 1), str(path))
+        data = path.read_bytes()
+        path.write_bytes(b"solid exported by some CAD tool".ljust(80) + data[80:])
+        code, out = run_cli(capsys, "solve", "--mesh", str(path), "--json")
+        assert code == EXIT_OK, out
+        assert json.loads(out)["mesh"]["panels"] == 80
+        ascii_path = tmp_path / "a.stl"
+        ascii_path.write_text("solid a\nendsolid a\n")
+        assert _infer_format(str(ascii_path)) == "stl-ascii"
+
     def test_mesh_and_shape_conflict(self, tmp_path, capsys):
         code, out = run_cli(
             capsys, "solve", "--mesh", str(tmp_path / "a.obj"),
@@ -144,7 +202,12 @@ class TestConverge:
         )
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["schema"] == "convreport/1"
+        assert report["schema"] == "convreport/2"
+        assert report["config"] == {
+            "command": "converge", "shape": "cube", "side": 1.0,
+            "panels_per_edge": 4, "levels": [2, 4, 8], "quad_order": 4,
+            "solver": "direct",
+        }
         assert [r["level"] for r in report["rows"]] == [2, 4, 8]
         caps = [r["C"] for r in report["rows"]]
         assert caps == sorted(caps)  # lower bounds increase under refinement
@@ -154,7 +217,7 @@ class TestConverge:
         assert extra["limit"] / (4 * math.pi) == pytest.approx(0.66, abs=0.01)
 
     def test_computes_only_reported_values(self, capsys, monkeypatch):
-        # convreport/1 has no SPD diagnostics or subspace bounds per level.
+        # convreport/2 has no SPD diagnostics or subspace bounds per level.
         def unused(*args, **kwargs):
             raise AssertionError("converge computed a value it does not report")
 
@@ -224,6 +287,24 @@ class TestVerifyPrinciple:
         path.write_text(json.dumps({"schema": "other/1"}))
         code, out = run_cli(capsys, "verify-principle", "--input", str(path))
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1.0, 2.0],
+            {"schema": "symform/1", "matrix": [[1.0, 0.0], [0.0]], "u": [1.0, 1.0]},
+            {"schema": "symform/1", "matrix": [["a", 0.0], [0.0, 1.0]], "u": [1.0, 1.0]},
+            {"schema": "symform/1", "matrix": [[1.0, 0.0], [0.0, 1.0]], "u": ["x", 1.0]},
+        ],
+        ids=["not-an-object", "ragged-matrix", "text-matrix", "text-u"],
+    )
+    def test_malformed_input_is_a_varcap_error(self, payload, tmp_path, capsys):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(payload))
+        code, out = run_cli(capsys, "verify-principle", "--input", str(path))
+        assert code == EXIT_USAGE
+        err = json.loads(out)["error"]
+        assert issubclass(getattr(varcap.errors, err["type"]), VarcapError), err
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -12,7 +12,7 @@ from varcap.errors import (
     NonFiniteInputError,
     NotWatertightError,
 )
-from varcap.geometry import _signed_volume
+from varcap.geometry import _icosahedron, _signed_volume, _weld
 
 TET_VERTS = np.array(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -22,6 +22,54 @@ TET_TRIS = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
 
 def tetrahedron():
     return varcap.SurfaceMesh(TET_VERTS.copy(), TET_TRIS.copy())
+
+
+def loop_icosphere_corners(level):
+    """Panel corners from midpoint subdivision with a dict per level."""
+    verts, faces = _icosahedron()
+    verts, faces = [tuple(v) for v in verts], [tuple(f) for f in faces]
+    for _ in range(level):
+        cache = {}
+
+        def mid(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                a, b = verts[key[0]], verts[key[1]]
+                verts.append(tuple((x + y) / 2.0 for x, y in zip(a, b)))
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        new = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new
+    v = np.array(verts)
+    v *= 1.0 / np.linalg.norm(v, axis=1)[:, None]
+    f = np.array(faces)
+    return v[f if _signed_volume(v, f) > 0 else f[:, [0, 2, 1]]]
+
+
+def loop_cube_corners(side, ppe):
+    """Panel corners of a cube, one quad at a time."""
+    frames = [
+        ((0, 0, 0), (0, 0, 1), (0, 1, 0)), ((ppe, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((0, 0, 0), (1, 0, 0), (0, 0, 1)), ((0, ppe, 0), (0, 0, 1), (1, 0, 0)),
+        ((0, 0, 0), (0, 1, 0), (1, 0, 0)), ((0, 0, ppe), (1, 0, 0), (0, 1, 0)),
+    ]
+    tris = []
+    for o, e1, e2 in frames:
+        for p in range(ppe):
+            for q in range(ppe):
+                c = {
+                    (dp, dq): [
+                        side * (o[k] + (p + dp) * e1[k] + (q + dq) * e2[k]) / ppe
+                        for k in range(3)
+                    ]
+                    for dp in (0, 1) for dq in (0, 1)
+                }
+                tris += [(c[0, 0], c[1, 0], c[1, 1]), (c[0, 0], c[1, 1], c[0, 1])]
+    return np.array(tris)
 
 
 class TestIcosphere:
@@ -47,6 +95,12 @@ class TestIcosphere:
             errs.append(abs(panels.total_area - 4.0 * math.pi))
         assert errs[0] > errs[1] > errs[2]
 
+    def test_corners_match_loop_reference(self):
+        for level in range(4):
+            corners = varcap.build_panels(varcap.make_icosphere(1.0, level)).corners
+            assert corners.tobytes() == loop_icosphere_corners(level).tobytes()
+            assert varcap.make_icosphere(1.0, level).n_vertices == 10 * 4**level + 2
+
     def test_subdivision_limit(self):
         with pytest.raises(varcap.errors.VarcapError):
             varcap.make_icosphere(1.0, 99)
@@ -70,6 +124,11 @@ class TestCube:
         # SurfaceMesh construction would raise otherwise.
         mesh = varcap.make_cube(1.0, 4)
         assert mesh.n_vertices == 6 * 5 * 5 - 12 * 5 + 8  # faces minus seams
+
+    def test_corners_match_loop_reference(self):
+        for ppe in (1, 3, 4):
+            corners = varcap.build_panels(varcap.make_cube(0.7, ppe)).corners
+            assert corners.tobytes() == loop_cube_corners(0.7, ppe).tobytes()
 
     def test_invalid_args(self):
         with pytest.raises(varcap.errors.VarcapError):
@@ -224,6 +283,16 @@ class TestFileRoundTrips:
         mesh = varcap.load_mesh(str(path), "stl-ascii")
         assert mesh.n_triangles == 4
         assert mesh.n_vertices == 4  # duplicates welded
+
+    def test_weld_keeps_first_occurrence(self):
+        raw = TET_VERTS[TET_TRIS].reshape(-1, 3)
+        # Later copies of a vertex sit 1e-13 away, inside the weld tolerance.
+        first = np.unique(TET_TRIS.reshape(-1), return_index=True)[1]
+        moved = raw + 1e-13
+        moved[first] = raw[first]
+        mesh = _weld(moved, np.arange(12).reshape(4, 3))
+        assert mesh.n_vertices == 4
+        assert mesh.vertices[mesh.triangles].tobytes() == TET_VERTS[TET_TRIS].tobytes()
 
     def test_malformed_inputs(self, tmp_path):
         bad = tmp_path / "bad.obj"
