@@ -10,6 +10,8 @@ import math
 import sys
 import time
 
+import orjson
+
 from . import bem, capacitance, geometry, varprinciple
 from .errors import (
     AssemblyError,
@@ -369,10 +371,14 @@ def _witness_payload(witness) -> dict | None:
 
 
 def cmd_verify_principle(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
+    # orjson reads strict RFC 8259 UTF-8 (no BOM, NaN or Infinity; a number
+    # that overflows a double is an error) and converts decimals to the same
+    # doubles as json, about 4x faster. Reports stay with json.dumps, whose
+    # float format (1e-05, not 0.00001) their bytes keep.
+    with open(args.input, "rb") as fh:
         try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+            payload = orjson.loads(fh.read())
+        except orjson.JSONDecodeError as exc:
             raise MeshFormatError(f"{args.input}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise VarcapError(f"{args.input}: expected a JSON object, got {type(payload).__name__}")

@@ -129,11 +129,18 @@ class PrincipleReport:
 
 
 def _floats(x, name: str) -> np.ndarray:
-    """``x`` as a float64 array; ragged or non-numeric input is a VarcapError."""
+    """``x`` as a float64 array; ragged or non-numeric input is a VarcapError.
+
+    The dtype is inferred first, so strings, booleans alone and ``None`` are
+    rejected instead of converted; a boolean among numbers becomes a number.
+    """
     try:
-        return np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        a = np.asarray(x)
+    except ValueError as exc:
         raise VarcapError(f"{name} is not a rectangular array of numbers: {exc}") from exc
+    if a.dtype.kind not in "iuf":
+        raise VarcapError(f"{name} is not a rectangular array of numbers: dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
 
 
 def _vector(x, n: int, name: str) -> np.ndarray:

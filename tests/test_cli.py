@@ -295,8 +295,15 @@ class TestVerifyPrinciple:
             {"schema": "symform/1", "matrix": [[1.0, 0.0], [0.0]], "u": [1.0, 1.0]},
             {"schema": "symform/1", "matrix": [["a", 0.0], [0.0, 1.0]], "u": [1.0, 1.0]},
             {"schema": "symform/1", "matrix": [[1.0, 0.0], [0.0, 1.0]], "u": ["x", 1.0]},
+            # Strings that spell numbers, and booleans alone, are not numbers.
+            {"schema": "symform/1", "matrix": [["2.0", 0.0], [0.0, "1"]], "u": [1.0, 1.0]},
+            {"schema": "symform/1", "matrix": [[2.0, 0.0], [0.0, 1.0]], "u": [1.0, "1.0"]},
+            {"schema": "symform/1", "matrix": [[True, False], [False, True]], "u": [1.0, 1.0]},
         ],
-        ids=["not-an-object", "ragged-matrix", "text-matrix", "text-u"],
+        ids=[
+            "not-an-object", "ragged-matrix", "text-matrix", "text-u",
+            "numeric-string-matrix", "numeric-string-u", "boolean-matrix",
+        ],
     )
     def test_malformed_input_is_a_varcap_error(self, payload, tmp_path, capsys):
         path = tmp_path / "form.json"
@@ -306,11 +313,56 @@ class TestVerifyPrinciple:
         err = json.loads(out)["error"]
         assert issubclass(getattr(varcap.errors, err["type"]), VarcapError), err
 
-    def test_invalid_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"{not json",
+            b'{"schema": "symform/1", "note": "\xff", "matrix": [[1.0]], "u": [1.0]}',
+            b'\xef\xbb\xbf{"schema": "symform/1", "matrix": [[1.0]], "u": [1.0]}',
+            # Not JSON under RFC 8259: non-finite literals and a number past
+            # the double range.
+            b'{"schema": "symform/1", "matrix": [[NaN]], "u": [1.0]}',
+            b'{"schema": "symform/1", "matrix": [[1.0]], "u": [Infinity]}',
+            b'{"schema": "symform/1", "matrix": [[1e400]], "u": [1.0]}',
+        ],
+        ids=["not-json", "not-utf8", "bom", "nan", "infinity", "overflow"],
+    )
+    def test_invalid_json(self, content, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
+        path.write_bytes(content)
         code, out = run_cli(capsys, "verify-principle", "--input", str(path))
         assert code == EXIT_IO
+        assert json.loads(out)["error"]["type"] == "MeshFormatError"
+
+    def test_parsed_doubles_are_exact(self, tmp_path, capsys, monkeypatch):
+        # Seeded doubles over many exponents, a subnormal and a negative zero,
+        # written by json.dumps: the CLI must read the doubles json.loads reads.
+        rng = np.random.default_rng(40)
+        a = rng.standard_normal((40, 40)) * 10.0 ** rng.integers(-12, 12, (40, 40))
+        m = a + a.T
+        m[0, 1] = m[1, 0] = 5e-324
+        m[2, 3] = m[3, 2] = -0.0
+        u = rng.standard_normal(40)
+        u[5], u[6] = 5e-324, -0.0
+        text = json.dumps({"schema": "symform/1", "matrix": m.tolist(), "u": u.tolist()})
+        path = tmp_path / "form.json"
+        path.write_text(text)
+        seen = []
+        from_matrix = varcap.varprinciple.SymmetricForm.from_matrix
+
+        def spy(matrix):
+            seen.append(matrix)
+            return from_matrix(matrix)
+
+        monkeypatch.setattr(varcap.varprinciple.SymmetricForm, "from_matrix", spy)
+        code, out = run_cli(capsys, "verify-principle", "--input", str(path))
+        assert code == EXIT_OK
+        ref = json.loads(text)
+        m_ref, u_ref = np.array(ref["matrix"]), np.array(ref["u"])
+        assert np.array(seen[0]).tobytes() == m_ref.tobytes()
+        s = 0.5 * (m_ref + m_ref.T)
+        qfu = json.loads(out)["quadratic_form_at_u"]
+        assert np.float64(qfu).tobytes() == ((u_ref @ s) @ u_ref).tobytes()
 
 
 class TestRichardson:
