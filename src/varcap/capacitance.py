@@ -37,6 +37,10 @@ __all__ = [
 
 CG_RTOL = 1e-10
 SV_CUTOFF = 1e-12  # relative singular-value cutoff for rank-deficient Gram matrices
+UNIT_ROUNDOFF = 2.0**-53
+ETA = 2.0**-1074  # smallest positive subnormal double
+REFINE_STEPS = 5  # iterative-refinement steps after the shifted direct solve
+REFINE_RTOL = 1e-12  # scaled relative residual the refined direct solve must reach
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,7 @@ class ChargeSolution:
     total_charge: float
     residual_norm: float
     solve_iterations: int
+    lambda_min_lower_bound: float | None  # proven by the direct solve; None for cg
 
 
 @dataclass(frozen=True)
@@ -63,24 +68,86 @@ class BoundLedger:
     capacitance: float
 
 
+def _certified_cholesky(mat: np.ndarray) -> tuple[tuple[np.ndarray, bool], float]:
+    """Cholesky factor of A - tau D, and a proven lower bound on lambda_min(A).
+
+    D = diag(A) and tau = 2 gamma_{n+1} n. The shift is relative to each
+    diagonal entry, so the proof, like plain Cholesky, does not depend on
+    how the rows of A are scaled: it is made for H = D^-1/2 A D^-1/2, whose
+    diagonal is 1. If the floating-point factorization of the shifted matrix
+    M runs to completion, Demmel's backward-error bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.3) gives
+    |dM_ij| <= gamma_{n+1} sqrt(m_ii m_jj) / (1 - gamma_{n+1}) with
+    m_ii <= d_i, so lambda_min(H) >= beta_H = s - gamma_{n+1} n / (1 - gamma_{n+1}),
+    where s = min_i (d_i - m_ii) / d_i is the shift actually stored, close to
+    tau. beta_H also deducts an allowance for underflow after Rump (BIT 46,
+    2006), and lambda_min(A) >= min(d) beta_H. The shift is made in place on
+    the one copy that is factored; only A's lower triangle is read.
+    """
+    n = len(mat)
+    u = UNIT_ROUNDOFF
+    g = (n + 1) * u / (1.0 - (n + 1) * u)  # Higham's gamma_{n+1}
+    tau = 2.0 * g * n
+    diag = mat.diagonal()
+    shifted = diag * (1.0 - tau)
+    work = mat.copy()
+    np.fill_diagonal(work, shifted)
+    failed = SolveError(
+        f"shifted Cholesky could not prove A_h positive definite (tau = {tau:.6g})"
+    )
+    try:
+        # work.T is Fortran-ordered and its upper triangle is A's lower one,
+        # so LAPACK factors it in place without another copy.
+        factor = scipy.linalg.cho_factor(work.T, lower=False, overwrite_a=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise failed from exc
+    # The pivots were positive, so 0 < m_ii <= d_i and d_i - m_ii is exact
+    # (Sterbenz). Round the stored shift and beta down, and the deduction
+    # up, past the roundings of the lines below.
+    d_min = float(np.min(diag))
+    shift = float(np.min((diag - shifted) / diag)) * (1.0 - 2 * u)
+    underflow = 4 * (n + 1) * (2 * (n + 1) + float(np.max(shifted))) * ETA / d_min
+    deduction = (g * n / (1.0 - g) + underflow) * (1.0 + 16 * u)
+    beta = float(np.nextafter(d_min * (shift - deduction) * (1.0 - 4 * u), -np.inf))
+    if not beta > 0:
+        raise failed
+    return factor, beta
+
+
 def solve_capacitance(system: GalerkinSystem, method: str = "direct") -> ChargeSolution:
     """Solve A_h sigma = b for the equilibrium panel densities.
 
-    ``direct`` uses a symmetric (Cholesky) factorization; ``cg`` runs
-    Jacobi-preconditioned conjugate gradients to relative residual 1e-10.
+    ``direct`` factors A_h - tau D once (``_certified_cholesky``), which both
+    proves A_h positive definite and solves. Iterative refinement against
+    A_h removes the shift's effect: it runs while each step at least halves
+    the diagonally scaled residual D^-1/2 (b - A_h sigma), at most
+    ``REFINE_STEPS`` times, and the solve fails unless that residual ends
+    below ``REFINE_RTOL`` of D^-1/2 b. ``cg`` runs Jacobi-preconditioned
+    conjugate gradients to relative residual 1e-10 and proves nothing.
     """
     mat = system.matrix
     b = system.areas
     n = system.n
     if method == "direct":
-        try:
-            factor = scipy.linalg.cho_factor(mat, lower=True)
-        except scipy.linalg.LinAlgError as exc:
+        factor, lambda_bound = _certified_cholesky(mat)
+        # cho_factor checked A_h for inf and NaN, so the solves skip the
+        # O(n^2) scan of the factor.
+        scale = 1.0 / np.sqrt(mat.diagonal())
+        sigma = scipy.linalg.cho_solve(factor, b, check_finite=False)
+        res = b - mat @ sigma
+        size = float(np.linalg.norm(scale * res))
+        for _ in range(REFINE_STEPS):
+            step = sigma + scipy.linalg.cho_solve(factor, res, check_finite=False)
+            step_res = b - mat @ step
+            step_size = float(np.linalg.norm(scale * step_res))
+            if not step_size <= 0.5 * size:
+                break
+            sigma, res, size = step, step_res, step_size
+        if not size <= REFINE_RTOL * float(np.linalg.norm(scale * b)):
             raise SolveError(
-                "symmetric factorization failed; the system is not SPD within "
-                "round-off (run spd_check for diagnostics)"
-            ) from exc
-        sigma = scipy.linalg.cho_solve(factor, b)
+                f"iterative refinement of the shifted Cholesky solve stalled at "
+                f"scaled residual {size:.3e}; A_h is too close to singular"
+            )
         iterations = 0
     elif method == "cg":
         count = [0]
@@ -102,6 +169,7 @@ def solve_capacitance(system: GalerkinSystem, method: str = "direct") -> ChargeS
                 f"(relative residual {res:.3e})"
             )
         iterations = count[0]
+        lambda_bound = None
     else:
         raise VarcapError(f"unknown solver {method!r}; expected 'direct' or 'cg'")
 
@@ -110,7 +178,9 @@ def solve_capacitance(system: GalerkinSystem, method: str = "direct") -> ChargeS
     if not total_charge > 0:
         raise SolveError(f"non-positive capacitance {total_charge!r} from solve")
     sigma.setflags(write=False)
-    return ChargeSolution(sigma, total_charge, total_charge, residual, iterations)
+    return ChargeSolution(
+        sigma, total_charge, total_charge, residual, iterations, lambda_bound
+    )
 
 
 def rayleigh_bound(system: GalerkinSystem, v) -> QuotientValue:

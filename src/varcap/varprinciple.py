@@ -126,6 +126,7 @@ class PrincipleReport:
     best_quotient: float
     attained_at_u: bool
     witness: Optional[IndefinitenessWitness]
+    holds_on_probes: bool  # no probe beat (Au, u) beyond round-off, and u attains it
 
 
 def _floats(x, name: str) -> np.ndarray:
@@ -276,5 +277,8 @@ def verify_principle(
             best = max(best, random_best(10_000))
 
     attained = abs(at_u.value - qfu) <= 1e-10 * (1.0 + abs(qfu))
+    # The quotient scales with ||A|| |u|^2, and so does the slack.
+    slack = 1e-12 * form.norm * float(u @ u)
+    holds = best <= qfu * (1.0 + 1e-8) + slack and attained
     report_cls = "nonneg" if cls == "zero" else cls
-    return PrincipleReport(report_cls, qfu, best, attained, witness)
+    return PrincipleReport(report_cls, qfu, best, attained, witness, holds)

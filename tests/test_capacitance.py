@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import varcap
 from varcap.capacitance import (
@@ -54,6 +55,93 @@ class TestSolve:
         )
         with pytest.raises(SolveError):
             solve_capacitance(bad)
+
+    @pytest.mark.parametrize("name", ["sphere2", "cube4", "ellipsoid"])
+    def test_lambda_min_lower_bound(self, solved, name):
+        sm = solved(name)
+        lam = scipy.linalg.eigvalsh(sm.system.matrix, subset_by_index=[0, 0])[0]
+        assert 0 < sm.solution.lambda_min_lower_bound <= lam
+        assert solve_capacitance(sm.system, method="cg").lambda_min_lower_bound is None
+
+    @staticmethod
+    def moved(system, ratio):
+        """``system`` with A_h - c D, D = diag(A_h), chosen so that the
+        diagonally scaled matrix D^-1/2 A_h D^-1/2 has lambda_min = ratio tau."""
+        n = system.n
+        gamma = (n + 1) * 2.0**-53 / (1 - (n + 1) * 2.0**-53)
+        tau = 2.0 * gamma * n
+        diag = np.diag(system.matrix.diagonal())
+        lam = scipy.linalg.eigvalsh(system.matrix, diag, subset_by_index=[0, 0])[0]
+        target = ratio * tau
+        matrix = system.matrix - (lam - target) / (1.0 - target) * diag
+        scaled = scipy.linalg.eigvalsh(
+            matrix, np.diag(matrix.diagonal()), subset_by_index=[0, 0]
+        )[0]
+        assert scaled == pytest.approx(target, rel=1e-3)
+        return varcap.GalerkinSystem(
+            matrix, system.areas, system.total_area, 0.0, system.centroids
+        )
+
+    def test_positive_below_shift_raises(self, solved):
+        # 0 < lambda_min < tau: positive definite, but the shifted
+        # factorization cannot prove it.
+        moved = self.moved(solved("sphere1").system, 0.5)
+        assert np.linalg.eigvalsh(moved.matrix)[0] > 0
+        with pytest.raises(SolveError, match="could not prove A_h positive definite"):
+            solve_capacitance(moved)
+
+    def test_stalled_refinement_raises(self, solved):
+        # lambda_min = 2 tau: the shift is proven, but refinement against A_h
+        # shrinks the error along the lowest mode by tau / (lambda_min - tau)
+        # = 1 per step, so it never converges.
+        moved = self.moved(solved("sphere1").system, 2.0)
+        with pytest.raises(SolveError, match="refinement .* stalled"):
+            solve_capacitance(moved)
+
+    @staticmethod
+    def plain_capacitance(system):
+        b = system.areas
+        factor = scipy.linalg.cho_factor(system.matrix, lower=True)
+        return float(b @ scipy.linalg.cho_solve(factor, b))
+
+    @pytest.mark.parametrize(
+        "name, ratio",
+        [("sphere2", None), ("cube4", None), ("ellipsoid", None), ("sphere1", 1e3)],
+        ids=["sphere2", "cube4", "ellipsoid", "sphere1-near-shift"],
+    )
+    def test_matches_unshifted_solve(self, solved, name, ratio):
+        # Refinement removes the shift: C equals the plain Cholesky solve's
+        # b^T A_h^-1 b, also at lambda_min = 1000 tau, where it takes several
+        # steps.
+        system = solved(name).system
+        if ratio is not None:
+            system = self.moved(system, ratio)
+        assert solve_capacitance(system).capacitance == pytest.approx(
+            self.plain_capacitance(system), rel=1e-14
+        )
+
+    def test_certificate_ignores_row_scaling(self, solved):
+        # One panel's row and column scaled by 1e-6, so its self-term is 1e-12
+        # of the others', as for a panel 1e-4 of their linear size (the
+        # self-term grows as area^3/2). Plain Cholesky factors S A_h S, and
+        # the diagonally shifted one must prove and solve it too; the areas
+        # are scaled alike so that sigma keeps its size.
+        system = solved("sphere1").system
+        s = np.ones(system.n)
+        s[0] = 1e-6
+        scaled = varcap.GalerkinSystem(
+            s[:, None] * system.matrix * s,
+            s * system.areas,
+            float(np.sum(s * system.areas)),
+            0.0,
+            system.centroids,
+        )
+        solution = solve_capacitance(scaled)
+        lam = np.linalg.eigvalsh(scaled.matrix)[0]
+        assert 0 < solution.lambda_min_lower_bound <= lam
+        assert solution.capacitance == pytest.approx(
+            self.plain_capacitance(scaled), rel=1e-14
+        )
 
 
 class TestFunctionals:

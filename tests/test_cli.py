@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import varcap
 from varcap.cli import (
@@ -107,13 +108,13 @@ class TestSolve:
         )
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["schema"] == "capreport/3"
+        assert report["schema"] == "capreport/4"
         assert report["config"]["quad_order"] == 4
         assert report["config"]["solver"] == "direct"
         assert report["capacitance"]["C_over_4pi"] == pytest.approx(0.957, abs=0.01)
         assert report["capacitance"]["c_zeroth"] <= report["capacitance"]["C"]
-        assert report["diagnostics"]["cholesky_succeeded"] is True
-        assert report["diagnostics"]["min_eigenvalue"] > 0
+        assert report["diagnostics"]["lambda_min_lower_bound"] > 0
+        assert "spd_check_s" not in report["timings"]
         # Per-class assembly work: 80 panels, each with 3 edge neighbours;
         # the diagonal is closed-form, so it evaluates no quadrature points.
         assembly = report["diagnostics"]["assembly"]
@@ -148,7 +149,29 @@ class TestSolve:
         code, out = run_cli(capsys, "solve", "--shape", "icosphere", "--subdiv", "1")
         assert code == EXIT_OK
         assert "C / 4pi" in out
-        assert "cholesky ok" in out
+        assert "lambda_min >=" in out
+
+    def test_one_factorization_and_no_eigensolver(self, capsys, monkeypatch):
+        # The direct solve's Cholesky factorization is also the positivity
+        # proof, so solve factors A_h once and computes no eigenvalues of it.
+        calls = []
+        cho_factor = scipy.linalg.cho_factor
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return cho_factor(*args, **kwargs)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("solve ran a second check of A_h")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(scipy.linalg, name, unused)
+        monkeypatch.setattr(varcap.bem, "spd_check", unused)
+        code, out = run_cli(capsys, "solve", "--shape", "icosphere", "--subdiv", "1", "--json")
+        assert code == EXIT_OK, out
+        assert calls == [(80, 80)]
+        assert json.loads(out)["diagnostics"]["lambda_min_lower_bound"] > 0
 
     def test_solve_from_mesh_file(self, tmp_path, capsys):
         path = tmp_path / "sphere.obj"
@@ -275,12 +298,15 @@ class TestVerifyPrinciple:
         assert witness["quotient"] > report["quadratic_form_at_u"] + 1.0
 
     def test_negative_definite_consistent(self, tmp_path, capsys):
-        path = self.write_form(tmp_path, [[-1.0, 0.0], [0.0, -2.0]], [1.0, 0.0])
-        code, out = run_cli(capsys, "verify-principle", "--input", path)
-        assert code == EXIT_OK
-        report = json.loads(out)
-        assert report["classification"] == "nonpos"
-        assert report["consistent"] is True
+        # The slack scales with the matrix, so tiny matrices classify the same.
+        for scale in (1.0, 1e-13, 1e-16):
+            matrix = [[-scale, 0.0], [0.0, -2.0 * scale]]
+            path = self.write_form(tmp_path, matrix, [1.0, 0.0])
+            code, out = run_cli(capsys, "verify-principle", "--input", path)
+            assert code == EXIT_OK, scale
+            report = json.loads(out)
+            assert report["classification"] == "nonpos"
+            assert report["consistent"] is True
 
     def test_bad_schema(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

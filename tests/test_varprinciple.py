@@ -98,6 +98,7 @@ class TestSufficiency:
             assert report.classification == "nonneg"
             assert report.attained_at_u
             assert report.best_quotient <= qfu * (1 + 1e-8) + 1e-12
+            assert report.holds_on_probes
             assert report.witness is None
 
     def test_semidefinite_kernel_direction(self):
