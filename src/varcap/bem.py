@@ -1,14 +1,15 @@
 """Dense Galerkin discretization of the single-layer capacitance operator.
 
 Matrix entries are the double surface integrals of 1/(4 pi |s - t|) over
-panel pairs: the inner integral uses the closed-form potential of a
-uniformly charged triangle, the outer one a symmetric triangle quadrature.
-The far field and the near ring evaluate each panel pair once, (i, j) with
-i < j, and mirror it to (j, i). The diagonal has a closed form. Panel pairs
-that touch (shared edge or vertex) use collapsed tensor Gauss rules graded
-toward the shared feature in both directions, whose difference is recorded
-before the two are averaged. No kernel call takes more than POINTS_PER_CALL
-evaluation points.
+panel pairs. The far field applies a symmetric triangle rule to both panels
+(Sauter & Schwab, Boundary Element Methods, 2011, ch. 5). The diagonal has
+a closed form. Touching pairs (shared edge or vertex) and the near ring use
+the closed-form potential of a uniformly charged triangle inside and a
+collapsed tensor Gauss rule, graded toward the shared feature, outside.
+The far field and the near ring evaluate each pair once, (i, j) with i < j,
+and mirror it; touching pairs are evaluated in both directions, whose
+difference is recorded before the two are averaged. No kernel call takes
+more than POINTS_PER_CALL points, no far-field tile nq times as many pairs.
 """
 
 from __future__ import annotations
@@ -79,9 +80,16 @@ NEAR_FACTOR = 2.0
 # Evaluation points per _potential_batch call. The kernel keeps 17
 # temporaries of this many doubles, 2.2 MB at 16k, about one 2 MB L2 cache.
 # On a 2-core x86 VM, 16k against 50k ran each class 11-21% faster (sphere3
-# near ring 0.175 -> 0.144 s, cube8 vertex 0.072 -> 0.058 s, far field
-# 15-19%); 4k, 8k and 32k were slower than 16k.
+# near ring 0.175 -> 0.144 s, cube8 vertex 0.072 -> 0.058 s); 4k, 8k and 32k
+# were slower than 16k.
 POINTS_PER_CALL = 16_384
+
+# Far-field tiles of FAR_ROWS panel rows: sphere3's far field took 0.23,
+# 0.21, 0.24 and 0.32 s with 1, 2, 4 and 8. Mirroring in 32 kB squares of
+# MIRROR_BLOCK rows copied sphere4's matrix in 77 ms, against 190-210 ms
+# row by column.
+FAR_ROWS = 2
+MIRROR_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -213,38 +221,24 @@ def _dot3(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _source_terms(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-source kernel terms of triangles (P, 3, 3): (n, length, edge_normal).
-
-    n (P, 3) is the unit normal; for the edge e_k = v_k2 - v_k1 opposite
-    corner k, length (P, 3) is |e_k| and edge_normal (P, 3, 3) the unit
-    in-plane edge normal n x e_k / |e_k|. As r_k2 = r_k1 - e_k, the edge
-    prefactor (r_k1 x r_k2) . n equals r_k1 . (n x e_k).
-    Squared norms are summed component by component, so a triangle's terms
-    do not depend on how many triangles are passed with it; einsum's sums
-    did, in the last bit.
-    """
-    edges = tris[:, [2, 0, 1]] - tris[:, [1, 2, 0]]
-    nvec = _cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    two_area = np.sqrt(nvec[..., 0] ** 2 + nvec[..., 1] ** 2 + nvec[..., 2] ** 2)
-    n = nvec / two_area[:, None]
-    length = np.sqrt(edges[..., 0] ** 2 + edges[..., 1] ** 2 + edges[..., 2] ** 2)
-    edge_normal = _cross(n[:, None, :], edges) / length[:, :, None]
-    return n, length, edge_normal
-
-
-def _potential_batch(points: np.ndarray, tris: np.ndarray, terms) -> np.ndarray:
+def _potential_batch(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Batched closed-form potential: points (3, P, K), tris (P, 3, 3) -> (P, K).
 
     Points are component-major, so every per-point temporary is a contiguous
-    (P, K) array; points (3, 1, K) are shared by all P triangles. ``terms``
-    are the triangles' ``_source_terms``: assembly computes them once for all
-    panels and passes slices, which saves about a fifth of the far field.
-    Triangles are not checked here: a degenerate one gives non-finite values,
-    so callers pass triangles that PanelSystem or triangle_potentials has
-    validated.
+    (P, K) array; points (3, 1, K) are shared by all P triangles. Triangles
+    are not checked here: a degenerate one gives non-finite values, so
+    callers pass triangles that PanelSystem or triangle_potentials has
+    validated. n is the unit normal; for the edge e_k = v_k2 - v_k1 opposite
+    corner k, edge_normal is the unit in-plane edge normal n x e_k / |e_k|.
+    As r_k2 = r_k1 - e_k, the edge prefactor (r_k1 x r_k2) . n equals
+    r_k1 . (n x e_k). Squared norms are summed component by component, so a
+    triangle's terms do not depend on how many triangles are passed with it.
     """
-    n, length, edge_normal = terms
+    edges = tris[:, [2, 0, 1]] - tris[:, [1, 2, 0]]
+    nvec = _cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    n = nvec / np.sqrt(nvec[..., 0] ** 2 + nvec[..., 1] ** 2 + nvec[..., 2] ** 2)[:, None]
+    length = np.sqrt(edges[..., 0] ** 2 + edges[..., 1] ** 2 + edges[..., 2] ** 2)
+    edge_normal = _cross(n[:, None, :], edges) / length[:, :, None]
     shape = np.broadcast_shapes(points.shape[1:], (len(tris), 1))
     r = [[points[d] - tris[:, c, d, None] for d in range(3)] for c in range(3)]
     tmp, s, num, pref = (np.empty(shape) for _ in range(4))
@@ -300,7 +294,7 @@ def triangle_potentials(points, corners) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     v = np.asarray(corners, dtype=np.float64).reshape(1, 3, 3)
     _checked_areas(v)
-    return _potential_batch(np.ascontiguousarray(pts.T)[:, None, :], v, _source_terms(v))[0]
+    return _potential_batch(np.ascontiguousarray(pts.T)[:, None, :], v)[0]
 
 
 def triangle_potential(point, corners) -> float:
@@ -360,7 +354,7 @@ class ClassStats:
     """Assembly work of one entry class: far, self, edge, vertex or near."""
 
     entries: int
-    points: int      # outer quadrature points per entry; 0 for the closed form
+    points: int      # kernel evaluations per entry: nq^2 for far, 0 for self
     seconds: float
 
 
@@ -368,13 +362,12 @@ class ClassStats:
 class GalerkinSystem:
     """Dense symmetric Galerkin matrix with panel areas and diagnostics.
 
-    ``assembly`` maps each entry class to its work. The far field computes
-    each off-diagonal pair once and mirrors it; the diagonal and the
-    refined classes (edge, vertex, near) overwrite theirs. The near ring,
-    like the far field, is computed once per pair and mirrored, so its
-    entries count pairs; edge and vertex entries are computed in both
-    directions and count both. ``asymmetry_norm`` is max|M - M^T| over the
-    edge and vertex pairs, recorded before each is set to its mean
+    ``assembly`` maps each entry class to its work. The far field and the
+    near ring compute each pair once and mirror it, so their entries count
+    pairs; the diagonal, edge, vertex and near entries overwrite the far
+    field's, and edge and vertex entries, computed in both directions,
+    count both. ``asymmetry_norm`` is max|M - M^T| over the edge and
+    vertex pairs, recorded before each is set to its mean
     ``(M_rs + M_sr) / 2``; the mirrored far and near entries are exactly
     symmetric.
     """
@@ -436,7 +429,7 @@ def _apply_corrections(matrix, corners, areas, rows, perms, srcs, pts_bary, wts)
         src = srcs[s : s + chunk]
         outer = corners[r[:, None], perms[s : s + chunk]]
         pts = outer.transpose(2, 0, 1) @ pts_bary.T
-        vals = _potential_batch(pts, corners[src], _source_terms(corners[src]))
+        vals = _potential_batch(pts, corners[src])
         vals *= wts
         matrix[r, src] = areas[r] * vals.sum(axis=1)
 
@@ -456,6 +449,30 @@ def _near_ring(corners: np.ndarray, centroids: np.ndarray, touching: np.ndarray)
     diff = centroids[pairs[:, 0]] - centroids[pairs[:, 1]]
     dist = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
     return pairs[dist < cut * (radii[pairs[:, 0]] + radii[pairs[:, 1]])]
+
+
+def _far_tile(matrix, points, areas, weights, r0, r1, c0, c1, scratch):
+    """Write the far entries (i, j), r0 <= i < r1, max(i + 1, c0) <= j < c1.
+
+    Entry (i, j) is a_i a_j sum_pq w_p w_q / |x_p - y_q| over the rule's
+    points on panels i and j, taken from ``points`` (3, m nq); ``scratch``
+    holds two tiles of doubles. Distances come from coordinate differences,
+    as |x|^2 + |y|^2 - 2 x.y cancels. Coincident points (a panel with itself
+    or a duplicate) give inf where the diagonal and touching rules write.
+    """
+    nq = len(weights)
+    x, y = points[:, r0 * nq : r1 * nq, None], points[:, None, c0 * nq : c1 * nq]
+    shape = (x.shape[1], y.shape[2])
+    d, t = (a[: shape[0] * shape[1]].reshape(shape) for a in scratch)
+    np.square(np.subtract(x[0], y[0], out=d), out=d)
+    for k in (1, 2):
+        d += np.square(np.subtract(x[k], y[k], out=t), out=t)
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, np.sqrt(d, out=d), out=d)
+    vals = (weights @ d.reshape(r1 - r0, nq, -1)).reshape(r1 - r0, c1 - c0, nq) @ weights
+    vals *= areas[r0:r1, None] * areas[c0:c1]
+    for i in range(r0, r1):
+        matrix[i, max(i + 1, c0) : c1] = vals[i - r0, max(i + 1 - c0, 0) :]
 
 
 def assemble(
@@ -478,57 +495,37 @@ def assemble(
     nq = len(rule.weights)
     stats: dict[str, ClassStats] = {}
 
-    # Far field, once per panel pair: column j evaluates the rows i < j with
-    # panel j as the source, and row j gets a copy. Outer points are
-    # component-major, (3, 1, m * nq), and the source terms are computed once.
-    # Short columns share a kernel call: a block of sources [j0, j1), as many
-    # as fit (j1 - j0) j1 <= max_rows, takes the rows i < j1 in one call and
-    # keeps i < j. A column too long for one call is split into runs of rows.
-    # Either way a call has at most POINTS_PER_CALL points, and the blocks
-    # depend on m alone.
+    # Far field, once per pair (i, j), i < j: tiles of FAR_ROWS panel rows
+    # against runs of columns j >= r0, at most nq * POINTS_PER_CALL point
+    # pairs each, which depend on m and nq alone. Worker k takes every
+    # workers-th tile from tile k; the calling thread is worker 0, as each
+    # pool thread's malloc arena keeps its peak after the pool ends.
     start = time.perf_counter()
-    outer_pts = (corners.transpose(2, 0, 1) @ rule.points.T).reshape(3, 1, m * nq)
-    terms = _source_terms(corners)
+    points = (corners.transpose(2, 0, 1) @ rule.points.T).reshape(3, m * nq)
+    run = max(1, POINTS_PER_CALL // (FAR_ROWS * nq))
+    tiles = [(r0, c0) for r0 in range(0, m, FAR_ROWS) for c0 in range(r0, m, run)]
     matrix = np.empty((m, m))
-    max_rows = POINTS_PER_CALL // nq
-
-    def fill_block(j0, j1):
-        src_terms = tuple(t[j0:j1] for t in terms)
-        step = max_rows // (j1 - j0)
-        for r0 in range(0, j1, step):
-            r1 = min(j1, r0 + step)
-            pot = _potential_batch(outer_pts[:, :, r0 * nq : r1 * nq], corners[j0:j1], src_terms)
-            vals = areas[r0:r1] * (pot.reshape(j1 - j0, r1 - r0, nq) @ rule.weights)
-            for j in range(max(j0, r0 + 1), j1):
-                matrix[r0 : min(j, r1), j] = vals[j - j0, : min(j, r1) - r0]
-        for j in range(j0, j1):
-            matrix[j, :j] = matrix[:j, j]
-
-    blocks, j0 = [], 0
-    while j0 < m:
-        j1 = j0 + 1
-        while j1 < m and (j1 + 1 - j0) * (j1 + 1) <= max_rows:
-            j1 += 1
-        blocks.append((j0, j1))
-        j0 = j1
-    # Worker k takes every workers-th block from block k; the calling thread
-    # is worker 0. Each pool thread's malloc arena keeps the peak of its
-    # kernel temporaries after the pool ends, so one thread fewer also
-    # keeps the peak RSS down (cube converge, workers=2: 96.3 -> 93.4 MiB).
-    workers = max(1, min(int(workers), len(blocks)))
+    workers = max(1, min(int(workers), len(tiles)))
 
     def fill_share(k):
-        for block in blocks[k::workers]:
-            fill_block(*block)
+        scratch = np.empty((2, FAR_ROWS * nq * run * nq))
+        for r0, c0 in tiles[k::workers]:
+            r1, c1 = min(m, r0 + FAR_ROWS), min(m, c0 + run)
+            _far_tile(matrix, points, areas, rule.weights, r0, r1, c0, c1, scratch)
 
-    if workers == 1:
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        shares = pool.map(fill_share, range(1, workers))
         fill_share(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            shares = pool.map(fill_share, range(1, workers))
-            fill_share(0)
-            list(shares)
-    stats["far"] = ClassStats(m * (m - 1) // 2, nq, time.perf_counter() - start)
+        list(shares)
+    # Mirror the upper triangle in MIRROR_BLOCK squares.
+    below = np.tri(MIRROR_BLOCK, k=-1, dtype=bool)
+    for b0 in range(0, m, MIRROR_BLOCK):
+        for c0 in range(b0, m, MIRROR_BLOCK):
+            rows, cols = slice(b0, b0 + MIRROR_BLOCK), slice(c0, c0 + MIRROR_BLOCK)
+            lower = matrix[cols, rows]
+            where = below[: lower.shape[0], : lower.shape[1]] | (c0 > b0)
+            np.copyto(lower, matrix[rows, cols].T, where=where)
+    stats["far"] = ClassStats(m * (m - 1) // 2, nq * nq, time.perf_counter() - start)
 
     start = time.perf_counter()
     diag = np.arange(m)

@@ -64,20 +64,53 @@ class TestSolve:
         assert solve_capacitance(sm.system, method="cg").lambda_min_lower_bound is None
 
     @staticmethod
-    def moved(system, ratio):
-        """``system`` with A_h - c D, D = diag(A_h), chosen so that the
-        diagonally scaled matrix D^-1/2 A_h D^-1/2 has lambda_min = ratio tau."""
+    def moved(system, ratio, overlap=1e-9):
+        """``system`` with a matrix whose diagonally scaled form
+        H = D^-1/2 A D^-1/2, D = diag(A), has lambda_min = ratio tau, with a
+        lowest mode whose cosine with D^-1/2 b is about ``overlap``.
+
+        On the icosahedral sphere1 the lowest modes of H form a multiplet
+        orthogonal to b, so moving them alone leaves the solve nothing to
+        see. So a rotation by ``overlap`` in the plane of one of them, v,
+        and u = D^-1/2 b / |D^-1/2 b| tilts v toward u, a rank-one move
+        halves the tilted mode's eigenvalue, which parts it from the rest of
+        the multiplet, and A - c D then moves that eigenvalue to ratio tau
+        and keeps the modes. Refinement stalls at 2 tau only if b's part
+        along the mode is well above REFINE_RTOL (1e-12): 1e-9 stalls at a
+        scaled residual of 1.3e-8. At 1000 tau the mode's share of C grows
+        as overlap^2 / lambda_min, and so does the rounding by which two
+        solvers differ there: 1e-9 matches the plain solve to 2e-16 after
+        two refinement steps, 1e-8 only to 1.2e-14.
+        """
         n = system.n
         gamma = (n + 1) * 2.0**-53 / (1 - (n + 1) * 2.0**-53)
         tau = 2.0 * gamma * n
-        diag = np.diag(system.matrix.diagonal())
-        lam = scipy.linalg.eigvalsh(system.matrix, diag, subset_by_index=[0, 0])[0]
+        b = system.areas
+        scale = np.sqrt(system.matrix.diagonal())
+        h = system.matrix / np.outer(scale, scale)
+        lam, vecs = np.linalg.eigh(h)
+        u = b / scale / np.linalg.norm(b / scale)
+        v = vecs[:, 0] - (vecs[:, 0] @ u) * u
+        v /= np.linalg.norm(v)
+        cos, sin = math.cos(overlap), math.sin(overlap)
+        rot = (
+            np.eye(n)
+            + (cos - 1.0) * (np.outer(v, v) + np.outer(u, u))
+            + sin * (np.outer(u, v) - np.outer(v, u))
+        )
+        tilted = rot @ v
+        h = rot @ h @ rot.T - 0.5 * lam[0] * np.outer(tilted, tilted)
+        matrix = np.outer(scale, scale) * (0.5 * (h + h.T))
+        diag = np.diag(matrix.diagonal())
+        lam = scipy.linalg.eigvalsh(matrix, diag, subset_by_index=[0, 0])[0]
         target = ratio * tau
-        matrix = system.matrix - (lam - target) / (1.0 - target) * diag
-        scaled = scipy.linalg.eigvalsh(
-            matrix, np.diag(matrix.diagonal()), subset_by_index=[0, 0]
-        )[0]
-        assert scaled == pytest.approx(target, rel=1e-3)
+        matrix = matrix - (lam - target) / (1.0 - target) * diag
+        scale = np.sqrt(matrix.diagonal())
+        lam, vecs = np.linalg.eigh(matrix / np.outer(scale, scale))
+        assert lam[0] == pytest.approx(target, rel=1e-3)
+        assert lam[1] > 1e3 * tau
+        cosine = abs(vecs[:, 0] @ (b / scale)) / np.linalg.norm(b / scale)
+        assert cosine == pytest.approx(overlap, rel=0.1)
         return varcap.GalerkinSystem(
             matrix, system.areas, system.total_area, 0.0, system.centroids
         )
@@ -111,7 +144,7 @@ class TestSolve:
     )
     def test_matches_unshifted_solve(self, solved, name, ratio):
         # Refinement removes the shift: C equals the plain Cholesky solve's
-        # b^T A_h^-1 b, also at lambda_min = 1000 tau, where it takes several
+        # b^T A_h^-1 b, also at lambda_min = 1000 tau, where it takes two
         # steps.
         system = solved(name).system
         if ratio is not None:

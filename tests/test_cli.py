@@ -118,7 +118,7 @@ class TestSolve:
         # Per-class assembly work: 80 panels, each with 3 edge neighbours;
         # the diagonal is closed-form, so it evaluates no quadrature points.
         assembly = report["diagnostics"]["assembly"]
-        assert assembly["far"] == {"entries": 80 * 79 // 2, "points_per_entry": 6}
+        assert assembly["far"] == {"entries": 80 * 79 // 2, "points_per_entry": 36}
         assert assembly["self"] == {"entries": 80, "points_per_entry": 0}
         assert assembly["edge"] == {"entries": 240, "points_per_entry": 100}
         assert assembly["vertex"]["points_per_entry"] == 64
