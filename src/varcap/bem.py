@@ -3,13 +3,16 @@
 Matrix entries are the double surface integrals of 1/(4 pi |s - t|) over
 panel pairs. The far field applies a symmetric triangle rule to both panels
 (Sauter & Schwab, Boundary Element Methods, 2011, ch. 5). The diagonal has
-a closed form. Touching pairs (shared edge or vertex) and the near ring use
-the closed-form potential of a uniformly charged triangle inside and a
-collapsed tensor Gauss rule, graded toward the shared feature, outside.
-The far field and the near ring evaluate each pair once, (i, j) with i < j,
-and mirror it; touching pairs are evaluated in both directions, whose
-difference is recorded before the two are averaged. No kernel call takes
-more than POINTS_PER_CALL points, no far-field tile nq times as many pairs.
+a closed form. Touching pairs (shared edge or vertex) and the near ring,
+found by one KD-tree query, use the closed-form potential of a uniformly
+charged triangle inside and a collapsed tensor Gauss rule, graded toward
+the shared feature, outside. Every entry is written once, divided by 4 pi,
+into the upper triangle: the far field and the near ring evaluate each
+pair (i, j), i < j, once; touching pairs are evaluated in both directions,
+whose difference is recorded before the mean is written. One mirror then
+copies the upper triangle to the lower, so A_h is exactly symmetric. No
+kernel call takes more than POINTS_PER_CALL points, no far-field tile nq
+times as many pairs.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 from scipy.spatial import cKDTree
 
-from .errors import AssemblyError, VarcapError
+from .errors import AssemblyError, DegenerateTriangleError, VarcapError
 from .geometry import PanelSystem, _checked_areas
 
 __all__ = [
@@ -362,14 +364,14 @@ class ClassStats:
 class GalerkinSystem:
     """Dense symmetric Galerkin matrix with panel areas and diagnostics.
 
-    ``assembly`` maps each entry class to its work. The far field and the
-    near ring compute each pair once and mirror it, so their entries count
-    pairs; the diagonal, edge, vertex and near entries overwrite the far
-    field's, and edge and vertex entries, computed in both directions,
-    count both. ``asymmetry_norm`` is max|M - M^T| over the edge and
-    vertex pairs, recorded before each is set to its mean
-    ``(M_rs + M_sr) / 2``; the mirrored far and near entries are exactly
-    symmetric.
+    ``assembly`` maps each entry class to its work. Assembly writes the
+    upper triangle and mirrors it once. The far field and the near ring
+    compute each pair (i, j), i < j, once, so their entries count pairs;
+    the edge and vertex classes compute both directions of each pair and
+    count both. Edge, vertex and near entries overwrite the far field's.
+    ``asymmetry_norm`` is the largest difference between the two
+    directions of an edge or vertex pair, whose mean ``(M_ij + M_ji) / 2``
+    is the entry; every other entry has one value.
     """
 
     matrix: np.ndarray
@@ -384,81 +386,76 @@ class GalerkinSystem:
         return len(self.areas)
 
 
-def _touching_pairs(corners: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Directed pairs of distinct panels that share vertices, by class.
+def _refined_pairs(corners: np.ndarray, centroids: np.ndarray) -> dict:
+    """Pairs (i, j), i < j, that take a refined outer rule, by class.
 
-    Returns the pairs' keys row * m + src and, for "edge" and "vertex",
-    (rows, perms, srcs): perms rotates each row panel's corners so that the
-    shared vertex comes first, or the corner off the shared edge last.
-    Vertices match by value, which is exact for panels built from one mesh
-    vertex array.
-    """
-    m = len(corners)
-    ids = np.unique(corners.reshape(-1, 3), axis=0, return_inverse=True)[1].reshape(m, 3)
-    slots = np.repeat(np.arange(m), 3), ids.ravel()
-    incidence = scipy.sparse.csr_matrix((np.ones(3 * m, dtype=np.int64), slots))
-    shared = incidence @ incidence.T
-    shared.setdiag(0)
-    shared.eliminate_zeros()
-    pairs = shared.tocoo()
-    rows, srcs, count = pairs.row, pairs.col, pairs.data
-    on = (ids[rows][:, :, None] == ids[srcs][:, None, :]).any(axis=2)
-    first = np.where(count >= 2, np.argmin(on, axis=1) + 1, np.argmax(on, axis=1))
-    perms = (first[:, None] + np.arange(3)) % 3
-    cases = (("edge", count >= 2), ("vertex", count == 1))
-    return rows * m + srcs, {name: (rows[sel], perms[sel], srcs[sel]) for name, sel in cases}
-
-
-def _apply_corrections(matrix, corners, areas, rows, perms, srcs, pts_bary, wts):
-    """Overwrite entries (rows, srcs) using a refined outer rule.
-
-    ``perms`` permutes each outer triangle's corners so the shared feature
-    sits where the graded rule expects it. Each entry's weighted sum is a
-    row sum of its own values, so it does not depend on the entry's place
-    in a chunk or on the order of the pairs. Each kernel call takes a chunk
-    of pairs with at most POINTS_PER_CALL outer points in all.
-    """
-    if not len(rows):
-        return
-    rows = np.asarray(rows, dtype=np.intp)
-    srcs = np.asarray(srcs, dtype=np.intp)
-    perms = np.asarray(perms, dtype=np.intp)
-    chunk = max(1, POINTS_PER_CALL // len(wts))
-    for s in range(0, len(rows), chunk):
-        r = rows[s : s + chunk]
-        src = srcs[s : s + chunk]
-        outer = corners[r[:, None], perms[s : s + chunk]]
-        pts = outer.transpose(2, 0, 1) @ pts_bary.T
-        vals = _potential_batch(pts, corners[src])
-        vals *= wts
-        matrix[r, src] = areas[r] * vals.sum(axis=1)
-
-
-def _near_ring(corners: np.ndarray, centroids: np.ndarray, touching: np.ndarray) -> np.ndarray:
-    """Non-touching pairs (i < j) with centroids closer than NEAR_FACTOR (r_i + r_j).
-
-    r is a panel's largest centroid-to-corner distance. On cubes many pairs
-    sit exactly on the cut-off, so it carries a relative slack of 1e-9:
-    otherwise the rounding of a translated or scaled copy decides their side.
+    One KD-tree query finds the pairs whose centroids are closer than
+    NEAR_FACTOR (r_i + r_j), r a panel's largest centroid-to-corner
+    distance, which include every pair sharing a corner. Many cube pairs sit
+    exactly on the cut-off, so it carries a relative slack of 1e-9: otherwise
+    rounding decides their side on a translated or scaled copy. Corners
+    match by value (exact for panels built from one mesh vertex array); two
+    shared make an "edge" pair, one a "vertex" pair, none a "near" one, and
+    three a duplicate panel, which raises DegenerateTriangleError. "edge" and
+    "vertex" give (i, j, perm_i, perm_j), each perm rotating its panel's
+    corners so the shared vertex comes first or the unshared corner last;
+    "near" gives (i, j).
     """
     m = len(corners)
     cut = NEAR_FACTOR * (1.0 + 1e-9)
     radii = np.max(np.linalg.norm(corners - centroids[:, None, :], axis=2), axis=1)
     pairs = cKDTree(centroids).query_pairs(cut * 2.0 * float(radii.max()), output_type="ndarray")
-    pairs = pairs[~np.isin(pairs[:, 0] * m + pairs[:, 1], touching)]
     diff = centroids[pairs[:, 0]] - centroids[pairs[:, 1]]
     dist = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
-    return pairs[dist < cut * (radii[pairs[:, 0]] + radii[pairs[:, 1]])]
+    i, j = pairs[dist < cut * (radii[pairs[:, 0]] + radii[pairs[:, 1]])].T
+    ids = np.unique(corners.reshape(-1, 3), axis=0, return_inverse=True)[1].reshape(m, 3)
+    on = ids[i][:, :, None] == ids[j][:, None, :]
+    count = on.sum(axis=(1, 2))
+    if np.any(count == 3):
+        k = np.argmax(count == 3)
+        raise DegenerateTriangleError([int(i[k]), int(j[k])], f"duplicate panels {i[k]} and {j[k]}")
+    classes = {"near": (i[count == 0], j[count == 0])}
+    for name, edge in (("edge", True), ("vertex", False)):
+        sel = count == (2 if edge else 1)
+        both = on[sel]
+        # The first corner is the shared one, or the one after the unshared one.
+        perm_i, perm_j = (
+            (np.nonzero(shared != edge)[1][:, None] + np.arange(3) + edge) % 3
+            for shared in (both.any(axis=2), both.any(axis=1))
+        )
+        classes[name] = (i[sel], j[sel], perm_i, perm_j)
+    return classes
+
+
+def _refined_entries(corners, areas, rows, srcs, perms, pts_bary, wts) -> np.ndarray:
+    """Entries (rows, srcs), divided by 4 pi, from a refined outer rule.
+
+    ``perms`` permutes each outer triangle's corners so the shared feature
+    sits where the graded rule expects it; None keeps them. Each entry's
+    weighted sum is a row sum of its own values, so it does not depend on
+    the entry's place in a chunk or on the order of the pairs. Each kernel
+    call takes a chunk of pairs with at most POINTS_PER_CALL outer points.
+    """
+    out = np.empty(len(rows))
+    chunk = max(1, POINTS_PER_CALL // len(wts))
+    for s in range(0, len(rows), chunk):
+        r = rows[s : s + chunk]
+        outer = corners[r] if perms is None else corners[r[:, None], perms[s : s + chunk]]
+        pts = outer.transpose(2, 0, 1) @ pts_bary.T
+        vals = _potential_batch(pts, corners[srcs[s : s + chunk]])
+        vals *= wts
+        out[s : s + chunk] = areas[r] * vals.sum(axis=1)
+    return out / FOUR_PI
 
 
 def _far_tile(matrix, points, areas, weights, r0, r1, c0, c1, scratch):
     """Write the far entries (i, j), r0 <= i < r1, max(i + 1, c0) <= j < c1.
 
-    Entry (i, j) is a_i a_j sum_pq w_p w_q / |x_p - y_q| over the rule's
-    points on panels i and j, taken from ``points`` (3, m nq); ``scratch``
-    holds two tiles of doubles. Distances come from coordinate differences,
-    as |x|^2 + |y|^2 - 2 x.y cancels. Coincident points (a panel with itself
-    or a duplicate) give inf where the diagonal and touching rules write.
+    Entry (i, j) is a_i a_j sum_pq w_p w_q / (4 pi |x_p - y_q|) over the
+    rule's points on panels i and j, taken from ``points`` (3, m nq);
+    ``scratch`` holds two tiles of doubles. Distances come from coordinate
+    differences, as |x|^2 + |y|^2 - 2 x.y cancels. Coincident points, as on
+    overlapping panels, give inf, which assemble rejects.
     """
     nq = len(weights)
     x, y = points[:, r0 * nq : r1 * nq, None], points[:, None, c0 * nq : c1 * nq]
@@ -471,6 +468,7 @@ def _far_tile(matrix, points, areas, weights, r0, r1, c0, c1, scratch):
         np.divide(1.0, np.sqrt(d, out=d), out=d)
     vals = (weights @ d.reshape(r1 - r0, nq, -1)).reshape(r1 - r0, c1 - c0, nq) @ weights
     vals *= areas[r0:r1, None] * areas[c0:c1]
+    vals /= FOUR_PI
     for i in range(r0, r1):
         matrix[i, max(i + 1, c0) : c1] = vals[i - r0, max(i + 1 - c0, 0) :]
 
@@ -485,7 +483,8 @@ def assemble(
     Entry (i, j) approximates the double integral of 1/(4 pi |s - t|) over
     panels i and j. The result is bitwise independent of ``workers``: the
     per-entry quadrature sums use a fixed point order and each entry is
-    written exactly once.
+    written exactly once. Raises DegenerateTriangleError for two panels with
+    the same corners, before any entry is computed.
     """
     if rule is None:
         rule = triangle_rule(DEFAULT_QUAD_ORDER)
@@ -494,6 +493,7 @@ def assemble(
     m = panels.n_panels
     nq = len(rule.weights)
     stats: dict[str, ClassStats] = {}
+    refined = _refined_pairs(corners, panels.centroids)
 
     # Far field, once per pair (i, j), i < j: tiles of FAR_ROWS panel rows
     # against runs of columns j >= r0, at most nq * POINTS_PER_CALL point
@@ -517,7 +517,33 @@ def assemble(
         shares = pool.map(fill_share, range(1, workers))
         fill_share(0)
         list(shares)
-    # Mirror the upper triangle in MIRROR_BLOCK squares.
+    stats["far"] = ClassStats(m * (m - 1) // 2, nq * nq, time.perf_counter() - start)
+
+    start = time.perf_counter()
+    diag = np.arange(m)
+    matrix[diag, diag] = _self_integrals(corners, areas) / FOUR_PI
+    stats["self"] = ClassStats(m, 0, time.perf_counter() - start)
+
+    # Refined pairs overwrite the far field's (i, j), i < j. A near-ring
+    # pair takes one direction, panel i outer; an edge or vertex pair the
+    # mean of both, whose difference is asymmetry_norm.
+    rules = _refined_rules()
+    asym = 0.0
+    for case in ("edge", "vertex", "near"):
+        start = time.perf_counter()
+        pts, wts = rules[case]
+        i, j, *perms = refined[case]
+        if perms:
+            rows, srcs = np.concatenate([i, j]), np.concatenate([j, i])
+            vals = _refined_entries(corners, areas, rows, srcs, np.concatenate(perms), pts, wts)
+            forward, backward = vals[: len(i)], vals[len(i) :]
+            asym = max(asym, float(np.max(np.abs(forward - backward), initial=0.0)))
+            matrix[i, j] = 0.5 * (forward + backward)
+        else:
+            matrix[i, j] = vals = _refined_entries(corners, areas, i, j, None, pts, wts)
+        stats[case] = ClassStats(len(vals), len(wts), time.perf_counter() - start)
+
+    # The lower triangle is the upper one's mirror, copied in MIRROR_BLOCK squares.
     below = np.tri(MIRROR_BLOCK, k=-1, dtype=bool)
     for b0 in range(0, m, MIRROR_BLOCK):
         for c0 in range(b0, m, MIRROR_BLOCK):
@@ -525,40 +551,10 @@ def assemble(
             lower = matrix[cols, rows]
             where = below[: lower.shape[0], : lower.shape[1]] | (c0 > b0)
             np.copyto(lower, matrix[rows, cols].T, where=where)
-    stats["far"] = ClassStats(m * (m - 1) // 2, nq * nq, time.perf_counter() - start)
-
-    start = time.perf_counter()
-    diag = np.arange(m)
-    matrix[diag, diag] = _self_integrals(corners, areas)
-    stats["self"] = ClassStats(m, 0, time.perf_counter() - start)
-
-    touching, tasks = _touching_pairs(corners)
-    near_i, near_j = _near_ring(corners, panels.centroids, touching).T
-    tasks["near"] = (near_i, np.tile((0, 1, 2), (len(near_i), 1)), near_j)
-
-    rules = _refined_rules()
-    for case in ("edge", "vertex", "near"):
-        start = time.perf_counter()
-        rows, perms, srcs = tasks[case]
-        pts, wts = rules[case]
-        _apply_corrections(matrix, corners, areas, rows, perms, srcs, pts, wts)
-        stats[case] = ClassStats(len(rows), len(wts), time.perf_counter() - start)
-    matrix[near_j, near_i] = matrix[near_i, near_j]
-
-    matrix /= FOUR_PI
 
     if not np.isfinite(matrix).all():
         i, j = np.argwhere(~np.isfinite(matrix))[0]
         raise AssemblyError(f"non-finite matrix entry for panel pair ({i}, {j})")
-
-    # Far and near-ring entries are mirrored, so only the edge and vertex
-    # pairs, which compute both directions, can differ from their transpose.
-    r = np.concatenate([tasks[case][0] for case in ("edge", "vertex")])
-    c = np.concatenate([tasks[case][2] for case in ("edge", "vertex")])
-    r, c = r[r < c], c[r < c]
-    upper, lower = matrix[r, c], matrix[c, r]
-    asym = float(np.max(np.abs(upper - lower), initial=0.0))
-    matrix[r, c] = matrix[c, r] = 0.5 * (upper + lower)
     matrix.setflags(write=False)
     return GalerkinSystem(matrix, areas, panels.total_area, asym, panels.centroids, stats)
 

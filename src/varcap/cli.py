@@ -161,14 +161,13 @@ def _solve_pipeline(mesh, workers):
 def _solve_report(args, mesh, panels, system, solution, ledger, timings) -> dict:
     lo, hi = mesh.bbox
     return {
-        "schema": "capreport/4",
+        "schema": "capreport/5",
         "config": {
             "command": "solve",
             "mesh": getattr(args, "mesh", None),
             **_shape_config(args),
             "quad_order": bem.DEFAULT_QUAD_ORDER,
             "solver": "direct",
-            "seed": args.seed,
         },
         "mesh": {
             "panels": panels.n_panels,
@@ -427,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shape_args(solve)
     solve.add_argument("--mesh", help="mesh file path (instead of --shape)")
     solve.add_argument("--format", choices=["obj", "stl-ascii", "stl-binary"])
-    solve.add_argument("--seed", type=int, default=0, help="echoed into the report")
     solve.add_argument("--workers", type=int, default=1)
     solve.add_argument("--out")
     solve.add_argument("--json", action="store_true")

@@ -44,7 +44,7 @@ class NotWatertightError(VarcapError):
 
 
 class DegenerateTriangleError(VarcapError):
-    """A triangle has (near-)zero area."""
+    """A triangle has (near-)zero area, or two panels have the same corners."""
 
     def __init__(self, indices, message=None):
         self.indices = list(indices)

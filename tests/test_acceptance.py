@@ -231,7 +231,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
                 code = main(
                     [
                         "solve", "--shape", "icosphere", "--subdiv", "2",
-                        "--workers", str(workers), "--seed", "0",
+                        "--workers", str(workers),
                         "--json", "--out", str(out),
                     ]
                 )

@@ -1,8 +1,8 @@
 """Quadrature rules, the analytic triangle potential and assembly invariants."""
 
+import json
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from numpy.polynomial.legendre import leggauss
 import varcap
 from varcap import PanelSystem, assemble, bem, spd_check, triangle_potential, triangle_rule
 from varcap.bem import DEFAULT_QUAD_ORDER, FOUR_PI, _refined_rules
+from varcap.cli import EXIT_MESH, main
 from varcap.errors import DegenerateTriangleError, VarcapError
 
 from oracles import (
@@ -296,36 +297,48 @@ class TestAssembly:
         assert FOUR_PI * system.matrix[0, 1] == pytest.approx(deep, rel=2e-7)
 
     def test_touching_pairs_match_loop_reference(self):
-        # Every ordered pair of distinct panels, compared corner by corner.
-        for mesh in (varcap.make_icosphere(1.0, 1), varcap.make_cube(1.0, 2)):
-            corners = varcap.build_panels(mesh).corners
+        # Every ordered pair of distinct panels, compared corner by corner,
+        # and every pair (i, j), i < j, that shares none, by the centroid rule.
+        for mesh in (
+            varcap.make_icosphere(1.0, 1),
+            varcap.make_cube(1.0, 2),
+            varcap.make_ellipsoid(2.0, 1.0, 1.0, 2),
+        ):
+            panels = varcap.build_panels(mesh)
+            corners, centroids = panels.corners, panels.centroids
             m = len(corners)
-            expected = {}
+            radii = np.linalg.norm(corners - centroids[:, None, :], axis=2).max(axis=1)
+            expected, near = {}, set()
             for i in range(m):
-                for j in range(m):
-                    shared = [
-                        a for a in range(3)
-                        if i != j and any(np.array_equal(corners[i, a], c) for c in corners[j])
-                    ]
-                    if shared:
+                # on[j][a]: corner a of panel i is one of panel j's corners.
+                on = (corners[i][:, None, None, :] == corners[None]).all(axis=3).any(axis=2)
+                dist = np.linalg.norm(centroids - centroids[i], axis=1)
+                close = dist < bem.NEAR_FACTOR * (1.0 + 1e-9) * (radii[i] + radii)
+                for j, (corner_on, is_close) in enumerate(zip(on.T.tolist(), close.tolist())):
+                    shared = [a for a in range(3) if corner_on[a]]
+                    if i != j and shared:
                         expected[(i, j)] = shared
-            keys, tasks = bem._touching_pairs(corners)
+                    elif i < j and not shared and is_close:
+                        near.add((i, j))
+            pairs = bem._refined_pairs(corners, centroids)
             got = {}
-            for case, (rows, perms, srcs) in tasks.items():
-                for row, perm, src in zip(rows, perms, srcs):
-                    assert list(perm) == [(perm[0] + k) % 3 for k in range(3)]
-                    got[(row, src)] = sorted(perm[:2] if case == "edge" else perm[:1])
+            for case in ("edge", "vertex"):
+                for i, j, perm_i, perm_j in zip(*pairs[case]):
+                    assert i < j
+                    for key, perm in (((i, j), perm_i), ((j, i), perm_j)):
+                        assert list(perm) == [(perm[0] + k) % 3 for k in range(3)]
+                        assert key not in got
+                        got[key] = sorted(perm[:2] if case == "edge" else perm[:1])
             assert got == expected
-            assert sorted(keys) == sorted(i * m + j for i, j in expected)
+            assert set(zip(*pairs["near"])) == near and len(pairs["near"][0]) == len(near)
 
     def test_near_ring_invariant_under_translation_and_scaling(self):
         # Many cube pairs sit exactly on the near-ring cut-off; rounding must
         # not move them across it when the cube is translated or scaled.
         def ring(mesh):
             panels = varcap.build_panels(mesh)
-            touching, _ = bem._touching_pairs(panels.corners)
-            pairs = bem._near_ring(panels.corners, panels.centroids, touching)
-            return set(map(tuple, pairs.tolist()))
+            i, j = bem._refined_pairs(panels.corners, panels.centroids)["near"]
+            return set(zip(i.tolist(), j.tolist()))
 
         cube = varcap.make_cube(1.0, 4)
         base = ring(cube)
@@ -353,44 +366,40 @@ class TestAssembly:
 
     def test_correction_entries_independent_of_position(self):
         # A refined entry must not depend on its place in a correction
-        # chunk: prepending rows or permuting the pairs moves no bit.
+        # chunk: prepending rows or permuting the pairs moves no bit, with
+        # the corners kept (near ring) or permuted (edge and vertex pairs).
         panels = varcap.build_panels(varcap.make_icosphere(1.0, 2))
         m = panels.n_panels
         pairs = np.random.default_rng(31).permutation(m * m)[:703]
         rows, srcs = pairs[3:] // m, pairs[3:] % m
         pts, wts = _refined_rules()["near"]
 
-        def entries(order, pad):
-            matrix = np.zeros((m, m))
+        def entries(order, pad, perms):
             r = np.concatenate([pairs[:pad] // m, rows[order]])
             s = np.concatenate([pairs[:pad] % m, srcs[order]])
-            perms = np.tile((0, 1, 2), (len(r), 1))
-            bem._apply_corrections(
-                matrix, panels.corners, panels.areas, r, perms, s, pts, wts
-            )
-            return matrix[rows, srcs]
+            if perms is not None:
+                perms = np.tile(perms, (len(r), 1))
+            vals = bem._refined_entries(panels.corners, panels.areas, r, s, perms, pts, wts)
+            out = np.empty(len(rows))
+            out[order] = vals[pad:]
+            return out
 
-        base = entries(np.arange(len(rows)), 0)
-        assert np.all(base > 0)
-        for pad in (1, 2, 3):
-            assert np.array_equal(entries(np.arange(len(rows)), pad), base), pad
-        assert np.array_equal(entries(np.arange(len(rows))[::-1], 0), base)
+        for perms in (None, (0, 1, 2)):
+            base = entries(np.arange(len(rows)), 0, perms)
+            assert np.all(base > 0)
+            for pad in (1, 2, 3):
+                assert np.array_equal(entries(np.arange(len(rows)), pad, perms), base), pad
+            assert np.array_equal(entries(np.arange(len(rows))[::-1], 0, perms), base)
 
     @staticmethod
     def _near_entries(panels, rows, srcs):
-        # One direction of the near ring, as a lone _apply_corrections call.
+        # One direction of the near ring, as a lone _refined_entries call.
         pts, wts = _refined_rules()["near"]
-        m = panels.n_panels
-        matrix = np.zeros((m, m))
-        perms = np.tile((0, 1, 2), (len(rows), 1))
-        bem._apply_corrections(matrix, panels.corners, panels.areas, rows, perms, srcs, pts, wts)
-        matrix /= FOUR_PI
-        return matrix[rows, srcs]
+        return bem._refined_entries(panels.corners, panels.areas, rows, srcs, None, pts, wts)
 
     @staticmethod
     def _near_pairs(panels):
-        touching, _ = bem._touching_pairs(panels.corners)
-        return bem._near_ring(panels.corners, panels.centroids, touching).T
+        return bem._refined_pairs(panels.corners, panels.centroids)["near"]
 
     @pytest.mark.parametrize("name", ["sphere2", "ellipsoid"])
     def test_near_ring_evaluated_once_and_mirrored(self, solved, name):
@@ -432,11 +441,9 @@ class TestAssembly:
         sm = solved("sphere2")
         panels, matrix = sm.panels, sm.system.matrix
         corners, areas, m = panels.corners, panels.areas, panels.n_panels
-        touching, _ = bem._touching_pairs(corners)
-        near = bem._near_ring(corners, panels.centroids, touching)
         refined = np.eye(m, dtype=bool)
-        refined.flat[touching] = True
-        refined[near[:, 0], near[:, 1]] = refined[near[:, 1], near[:, 0]] = True
+        for i, j, *_ in bem._refined_pairs(corners, panels.centroids).values():
+            refined[i, j] = refined[j, i] = True
         far_i, far_j = np.nonzero(~refined)
         pick = np.random.default_rng(43).choice(len(far_i), 400, replace=False)
         rule = triangle_rule(DEFAULT_QUAD_ORDER)
@@ -466,18 +473,28 @@ class TestAssembly:
             c_deep = varcap.solve_capacitance(deep).capacitance
             assert abs(sm.solution.capacitance - c_deep) <= 1e-7 * c_deep, name
 
-    def test_duplicate_panels_assemble_without_warning(self):
-        # A panel and its duplicate have coincident quadrature points, so the
-        # far field divides by zero there; the pair touches, and the edge
-        # rule overwrites it with the values it always had.
-        dup = [TRI, TRI]
-        for tris in (dup, dup + [TRI + 5.0]):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                matrix = assemble(PanelSystem.from_triangles(np.stack(tris))).matrix
-            assert np.isfinite(matrix).all()
-            assert matrix[0, 0] == matrix[1, 1] == 0.16020098634487584
-            assert matrix[0, 1] == matrix[1, 0] == 0.16020393163202387
+    def test_duplicate_panels_rejected(self, tmp_path, capsys, monkeypatch):
+        # Two panels with the same corners make A_h indefinite (the edge
+        # rule overshoots their self-term), so assembly names them before
+        # it computes any entry; the corners may come in any order.
+        def no_far_field(*args):
+            raise AssertionError("far field computed for duplicate panels")
+
+        monkeypatch.setattr(bem, "_far_tile", no_far_field)
+        for tris in ([TRI, TRI], [TRI, TRI, TRI + 5.0], [TRI, TRI[[1, 2, 0]]]):
+            with pytest.raises(DegenerateTriangleError, match="duplicate panels 0 and 1") as info:
+                assemble(PanelSystem.from_triangles(np.stack(tris)))
+            assert info.value.indices == [0, 1]
+        # A closed two-panel mesh file: the CLI exits with the mesh error code.
+        for faces in ("f 1 2 3\nf 1 2 3\n", "f 1 2 3\nf 2 3 1\n"):
+            path = tmp_path / "duplicate.obj"
+            path.write_text("".join(f"v {x} {y} {z}\n" for x, y, z in TRI) + faces)
+            with pytest.warns(UserWarning, match="not consistently oriented"):
+                code = main(["solve", "--mesh", str(path), "--json"])
+            err = json.loads(capsys.readouterr().out)["error"]
+            assert code == EXIT_MESH == err["code"]
+            assert err["type"] == "DegenerateTriangleError"
+            assert "duplicate panels 0 and 1" in err["message"]
 
     def test_kernel_calls_within_point_budget(self, monkeypatch):
         # Every kernel call of an assembly stays within POINTS_PER_CALL, and
@@ -524,10 +541,10 @@ class TestAssembly:
             assert np.array_equal(assemble(panels, workers=workers).matrix, base), workers
 
     def test_assembly_peak_memory(self, solved):
-        # The far field writes each entry once into the matrix and the final
-        # pass symmetrizes only the refined pairs, so assembly holds no
-        # m x m temporary besides the finiteness mask (1/8 of the matrix).
-        # Measured on sphere3: 1.87x the matrix; averaging M and M^T whole
+        # Every entry is written once, in its final units, into the upper
+        # triangle, and one mirror copies it to the lower, so assembly holds
+        # no m x m temporary besides the finiteness mask (1/8 of the matrix).
+        # Measured on sphere3: 1.35x the matrix; averaging M and M^T whole
         # read 3.18x.
         panels = solved("sphere3").panels
         tracemalloc.start()

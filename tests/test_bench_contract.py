@@ -1,0 +1,49 @@
+"""What the benchmark under bench/ uses of the program still exists.
+
+The benchmark wraps public functions by name to time each layer, and runs
+the command line with fixed options. A change that removes one of them
+fails here, not only when the benchmark runs.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from varcap import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_exist():
+    spans = load_bench("spans")
+    originals = {(module, attr): getattr(module, attr) for module, attr, _ in spans.TRACED}
+    with spans.Tracer():
+        for (module, attr), original in originals.items():
+            assert getattr(module, attr) is not original, attr
+    for (module, attr), original in originals.items():
+        assert getattr(module, attr) is original, attr
+
+
+def test_workload_command_lines_parse(monkeypatch, tmp_path):
+    workloads = load_bench("workloads")
+    calls = []
+    monkeypatch.setattr(workloads, "run_cli", lambda argv: calls.append(argv) or "{}")
+    cube = workloads.WORKLOADS["cube-converge"]
+    principle = workloads.WORKLOADS["principle"]
+    for step in cube.steps(cube.prepare(0, True, tmp_path)):
+        step()
+    for step in principle.steps({"cases": [{"path": str(tmp_path / "form.json")}]}):
+        step()
+    assert [argv[0] for argv in calls] == ["converge", "verify-principle"]
+    assert calls[0][-3:] == ["--workers", "2", "--json"]
+    for argv in calls:
+        args = cli.build_parser().parse_args(argv)
+        assert args.func.__name__ == f"cmd_{argv[0].replace('-', '_')}"

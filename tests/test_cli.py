@@ -47,11 +47,11 @@ class TestSurface:
         assert options == {
             "generate": SHAPE_OPTIONS | {"--format", "--out"},
             "solve": SHAPE_OPTIONS
-            | {"--mesh", "--format", "--seed", "--workers", "--out", "--json"},
+            | {"--mesh", "--format", "--workers", "--out", "--json"},
             "converge": SHAPE_OPTIONS | {"--levels", "--workers", "--out", "--json"},
             "verify-principle": {"--input", "--out"},
         }
-        assert sum(map(len, options.values())) == 32
+        assert sum(map(len, options.values())) == 31
 
     @pytest.mark.parametrize(
         "argv",
@@ -59,6 +59,7 @@ class TestSurface:
             ["solve", "--shape", "icosphere", "--quad-order", "1"],
             ["solve", "--shape", "icosphere", "--solver", "cg"],
             ["converge", "--shape", "cube", "--levels", "2,4", "--seed", "0"],
+            ["solve", "--shape", "icosphere", "--seed", "0"],
             ["verify-principle", "--input", "form.json", "--trials", "5"],
         ],
     )
@@ -108,9 +109,10 @@ class TestSolve:
         )
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["schema"] == "capreport/4"
+        assert report["schema"] == "capreport/5"
         assert report["config"]["quad_order"] == 4
         assert report["config"]["solver"] == "direct"
+        assert "seed" not in report["config"]
         assert report["capacitance"]["C_over_4pi"] == pytest.approx(0.957, abs=0.01)
         assert report["capacitance"]["c_zeroth"] <= report["capacitance"]["C"]
         assert report["diagnostics"]["lambda_min_lower_bound"] > 0
