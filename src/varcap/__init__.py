@@ -2,13 +2,11 @@
 
 from .bem import (
     GalerkinSystem,
-    QuadratureRule,
     SpdReport,
     assemble,
     spd_check,
     triangle_potential,
     triangle_potentials,
-    triangle_rule,
 )
 from .capacitance import (
     BoundLedger,

@@ -1,18 +1,18 @@
 """Dense Galerkin discretization of the single-layer capacitance operator.
 
 Matrix entries are the double surface integrals of 1/(4 pi |s - t|) over
-panel pairs. The far field applies a symmetric triangle rule to both panels
-(Sauter & Schwab, Boundary Element Methods, 2011, ch. 5). The diagonal has
-a closed form. Touching pairs (shared edge or vertex) and the near ring,
-found by one KD-tree query, use the closed-form potential of a uniformly
-charged triangle inside and a collapsed tensor Gauss rule, graded toward
-the shared feature, outside. Every entry is written once, divided by 4 pi,
-into the upper triangle: the far field and the near ring evaluate each
-pair (i, j), i < j, once; touching pairs are evaluated in both directions,
-whose difference is recorded before the mean is written. One mirror then
-copies the upper triangle to the lower, so A_h is exactly symmetric. No
-kernel call takes more than POINTS_PER_CALL points, no far-field tile nq
-times as many pairs.
+panel pairs. The far field applies one fixed rule, FAR_RULE (Dunavant's
+6-point degree-4 rule), to both panels (Sauter & Schwab, Boundary Element
+Methods, 2011, ch. 5). The diagonal has a closed form. Touching pairs
+(shared edge or vertex) and the near ring, found by one KD-tree query, use
+the closed-form potential of a uniformly charged triangle inside and a
+collapsed tensor Gauss rule, graded toward the shared feature, outside.
+Every entry is written once, divided by 4 pi, into the upper triangle:
+the far field and the near ring evaluate each pair (i, j), i < j, once;
+touching pairs are evaluated in both directions, whose difference is
+recorded before the mean is written. One mirror then copies the upper
+triangle to the lower, so A_h is exactly symmetric. No kernel call takes
+more than POINTS_PER_CALL points, no far-field tile nq times as many pairs.
 """
 
 from __future__ import annotations
@@ -26,32 +26,31 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial import cKDTree
 
-from .errors import AssemblyError, DegenerateTriangleError, VarcapError
+from .errors import AssemblyError, DegenerateTriangleError
 from .geometry import PanelSystem, _checked_areas
 
 __all__ = [
-    "QuadratureRule",
     "ClassStats",
     "GalerkinSystem",
     "SpdReport",
-    "triangle_rule",
     "triangle_potential",
     "triangle_potentials",
     "assemble",
     "spd_check",
-    "DEFAULT_QUAD_ORDER",
 ]
 
 FOUR_PI = 4.0 * math.pi
 
-DEFAULT_QUAD_ORDER = 4
-
-# Near-field outer rules. The inner integral is analytic, so only the outer
-# rule limits an entry's accuracy. Diagonal entries have a closed form
-# (_self_integrals). Touching pairs and the near ring (other pairs whose
-# centroids are closer than NEAR_FACTOR times the sum of the panel radii)
-# use a tensor Gauss-Legendre rule on the outer triangle, collapsed at one
-# corner (Duffy), with radial nodes s(sigma) graded toward the shared feature.
+# Quadrature rules, all sized to one budget of |dC/C| <= 1e-7, far below the
+# discretization error. The far field applies FAR_RULE, Dunavant's 6-point
+# rule (IJNME 21, 1985), to both panels of a pair; the degree-8 rule on both
+# panels in its place moves C by at most 8.8e-9 (sphere3). Near the
+# diagonal the inner integral is analytic, so only the outer rule limits an
+# entry's accuracy. Diagonal entries have a closed form (_self_integrals).
+# Touching pairs and the near ring (other pairs whose centroids are closer
+# than NEAR_FACTOR times the sum of the panel radii) use a tensor
+# Gauss-Legendre rule on the outer triangle, collapsed at one corner
+# (Duffy), with radial nodes s(sigma) graded toward the shared feature.
 # Edge and vertex pairs are evaluated in both directions and averaged, as
 # their two directions differ by the rule's error; a near-ring pair (i, j),
 # i < j, is evaluated once with panel i as the outer triangle and mirrored,
@@ -59,6 +58,7 @@ DEFAULT_QUAD_ORDER = 4
 # ellipsoid (per-entry asymmetry at most 1.6e-8 there).
 #
 #   class   collapsed at   s(sigma)           nodes  degree  max entry error
+#   far     symmetric      -                  6      4
 #   edge    corner 2       1 - (1 - sigma)^3  10x10  4       1.1e-7
 #   vertex  shared corner  sigma^2             8x8   6       5.7e-8
 #   near    corner 0       sigma               8x8   14
@@ -67,10 +67,16 @@ DEFAULT_QUAD_ORDER = 4
 # (tests/test_bem.py), over edge pairs from flat to 90 degrees with aspect
 # ratios up to 5 and vertex pairs at least 15 degrees apart. Beyond that they
 # grow: aspect 10 about 1e-6, a 10-degree fold 6e-6, a 5-degree vertex gap
-# 2.6e-7. The rules meet a quadrature budget of |dC/C| <= 1e-7, far below
-# the discretization error: with every rule at twice the nodes and
-# NEAR_FACTOR 3, C moves by at most 1.0e-8 on sphere1-3, cube2-8 and a
-# 2:1:1 ellipsoid.
+# 2.6e-7. With every near rule at twice the nodes and NEAR_FACTOR 3, C moves
+# by at most 1.0e-8 on sphere1-3, cube2-8 and a 2:1:1 ellipsoid.
+_W = np.repeat([0.223381589678011, 0.109951743655322], 3)
+FAR_RULE = (
+    # (degree, barycentric points, weights)
+    4,
+    np.array([np.roll([1.0 - 2.0 * a, a, a], k)
+              for a in (0.445948490915965, 0.091576213509771) for k in range(3)]),
+    _W / _W.sum(),  # the published table carries ~15 digits; enforce an exact sum
+)
 NEAR_RULES = {
     # class: (collapsed corner, nodes per direction, sigma -> (s, ds/dsigma))
     "edge": (2, 10, lambda x: (1.0 - (1.0 - x) ** 3, 3.0 * (1.0 - x) ** 2)),
@@ -92,118 +98,6 @@ POINTS_PER_CALL = 16_384
 # row by column.
 FAR_ROWS = 2
 MIRROR_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Symmetric triangle rule in barycentric coordinates.
-
-    All weights are positive and sum to 1; ``degree`` is the highest
-    polynomial degree integrated exactly.
-    """
-
-    name: str
-    degree: int
-    points: np.ndarray   # (k, 3) barycentric
-    weights: np.ndarray  # (k,)
-
-    def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=np.float64)
-        wts = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if np.any(wts <= 0):
-            raise VarcapError(f"rule {self.name}: weights must be positive")
-        if np.any(pts < 0) or np.any(pts > 1):
-            raise VarcapError(f"rule {self.name}: barycentric points outside [0, 1]")
-        if abs(wts.sum() - 1.0) > 1e-13 or np.max(np.abs(pts.sum(axis=1) - 1.0)) > 1e-13:
-            raise VarcapError(f"rule {self.name}: weights/coordinates not normalized")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-        pts.setflags(write=False)
-        wts.setflags(write=False)
-
-
-def _perm3(a: float) -> list[tuple[float, float, float]]:
-    b = 1.0 - 2.0 * a
-    return [(b, a, a), (a, b, a), (a, a, b)]
-
-
-def _perm6(a: float, b: float) -> list[tuple[float, float, float]]:
-    c = 1.0 - a - b
-    return [(c, a, b), (c, b, a), (a, c, b), (b, c, a), (a, b, c), (b, a, c)]
-
-
-def _make_rule(name, degree, groups):
-    pts, wts = [], []
-    for kind, w, params in groups:
-        if kind == "c":
-            new = [(1 / 3, 1 / 3, 1 / 3)]
-        elif kind == "p3":
-            new = _perm3(params[0])
-        else:
-            new = _perm6(*params)
-        pts.extend(new)
-        wts.extend([w] * len(new))
-    wts = np.array(wts)
-    wts /= wts.sum()  # published tables carry ~15 digits; enforce exact sum
-    return QuadratureRule(name, degree, np.array(pts), wts)
-
-
-def _build_rules() -> dict[int, QuadratureRule]:
-    centroid = _make_rule("centroid-1pt", 1, [("c", 1.0, ())])
-    deg2 = _make_rule("symmetric-3pt", 2, [("p3", 1 / 3, (1 / 6,))])
-    deg4 = _make_rule(
-        "dunavant-6pt",
-        4,
-        [
-            ("p3", 0.223381589678011, (0.445948490915965,)),
-            ("p3", 0.109951743655322, (0.091576213509771,)),
-        ],
-    )
-    deg5 = _make_rule(
-        "symmetric-7pt",
-        5,
-        [
-            ("c", 0.225, ()),
-            ("p3", 0.132394152788506, (0.470142064105115,)),
-            ("p3", 0.125939180544827, (0.101286507323456,)),
-        ],
-    )
-    deg6 = _make_rule(
-        "dunavant-12pt",
-        6,
-        [
-            ("p3", 0.116786275726379, (0.249286745170910,)),
-            ("p3", 0.050844906370207, (0.063089014491502,)),
-            ("p6", 0.082851075618374, (0.310352451033785, 0.053145049844816)),
-        ],
-    )
-    # Coefficients refined to full double precision by Newton iteration on
-    # the monomial moment equations (max residual < 1e-17 over degree <= 8).
-    deg8 = _make_rule(
-        "dunavant-16pt",
-        8,
-        [
-            ("c", 0.14431560767783075, ()),
-            ("p3", 0.09509163426725455, (0.4592925882927538,)),
-            ("p3", 0.10321737053472357, (0.17056930775179285,)),
-            ("p3", 0.03245849762319533, (0.050547228317030866,)),
-            ("p6", 0.027230314174441484, (0.2631128296345476, 0.008394777409990272)),
-        ],
-    )
-    # Orders 3 and 4 both map to the 6-point rule: the 4-point degree-3
-    # rule has a negative weight, which we exclude by construction.
-    return {1: centroid, 2: deg2, 3: deg4, 4: deg4, 5: deg5, 6: deg6, 7: deg8}
-
-
-_RULES = _build_rules()
-
-
-def triangle_rule(order: int) -> QuadratureRule:
-    """Smallest positive-weight symmetric rule for the requested order (1..7)."""
-    rule = _RULES.get(int(order))
-    if rule is None:
-        raise VarcapError(f"quadrature order must be in 1..7, got {order}")
-    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +199,7 @@ def triangle_potential(point, corners) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Near-field outer rules and the closed-form diagonal
+# Quadrature rules by class and the closed-form diagonal
 # ---------------------------------------------------------------------------
 
 def _duffy_rule(corner: int, nodes: int, grade) -> tuple[np.ndarray, np.ndarray]:
@@ -328,9 +222,9 @@ def _duffy_rule(corner: int, nodes: int, grade) -> tuple[np.ndarray, np.ndarray]
     return pts.reshape(-1, 3), wts.ravel()
 
 
-def _refined_rules() -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Near-field outer rules by class, built from NEAR_RULES."""
-    return {name: _duffy_rule(*spec) for name, spec in NEAR_RULES.items()}
+def _rules() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """(Barycentric points, weights) by class: FAR_RULE's, and NEAR_RULES' built."""
+    return {"far": FAR_RULE[1:], **{name: _duffy_rule(*spec) for name, spec in NEAR_RULES.items()}}
 
 
 def _self_integrals(corners: np.ndarray, areas: np.ndarray) -> np.ndarray:
@@ -356,7 +250,7 @@ class ClassStats:
     """Assembly work of one entry class: far, self, edge, vertex or near."""
 
     entries: int
-    points: int      # kernel evaluations per entry: nq^2 for far, 0 for self
+    points: int      # kernel evaluations per entry: 6 x 6 for far, 0 for self
     seconds: float
 
 
@@ -473,11 +367,7 @@ def _far_tile(matrix, points, areas, weights, r0, r1, c0, c1, scratch):
         matrix[i, max(i + 1, c0) : c1] = vals[i - r0, max(i + 1 - c0, 0) :]
 
 
-def assemble(
-    panels: PanelSystem,
-    rule: QuadratureRule | None = None,
-    workers: int = 1,
-) -> GalerkinSystem:
+def assemble(panels: PanelSystem, workers: int = 1) -> GalerkinSystem:
     """Assemble the dense Galerkin matrix of the single-layer operator.
 
     Entry (i, j) approximates the double integral of 1/(4 pi |s - t|) over
@@ -486,12 +376,12 @@ def assemble(
     written exactly once. Raises DegenerateTriangleError for two panels with
     the same corners, before any entry is computed.
     """
-    if rule is None:
-        rule = triangle_rule(DEFAULT_QUAD_ORDER)
     corners = panels.corners
     areas = panels.areas
     m = panels.n_panels
-    nq = len(rule.weights)
+    rules = _rules()
+    far_points, far_weights = rules["far"]
+    nq = len(far_weights)
     stats: dict[str, ClassStats] = {}
     refined = _refined_pairs(corners, panels.centroids)
 
@@ -501,7 +391,7 @@ def assemble(
     # workers-th tile from tile k; the calling thread is worker 0, as each
     # pool thread's malloc arena keeps its peak after the pool ends.
     start = time.perf_counter()
-    points = (corners.transpose(2, 0, 1) @ rule.points.T).reshape(3, m * nq)
+    points = (corners.transpose(2, 0, 1) @ far_points.T).reshape(3, m * nq)
     run = max(1, POINTS_PER_CALL // (FAR_ROWS * nq))
     tiles = [(r0, c0) for r0 in range(0, m, FAR_ROWS) for c0 in range(r0, m, run)]
     matrix = np.empty((m, m))
@@ -511,7 +401,7 @@ def assemble(
         scratch = np.empty((2, FAR_ROWS * nq * run * nq))
         for r0, c0 in tiles[k::workers]:
             r1, c1 = min(m, r0 + FAR_ROWS), min(m, c0 + run)
-            _far_tile(matrix, points, areas, rule.weights, r0, r1, c0, c1, scratch)
+            _far_tile(matrix, points, areas, far_weights, r0, r1, c0, c1, scratch)
 
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         shares = pool.map(fill_share, range(1, workers))
@@ -527,7 +417,6 @@ def assemble(
     # Refined pairs overwrite the far field's (i, j), i < j. A near-ring
     # pair takes one direction, panel i outer; an edge or vertex pair the
     # mean of both, whose difference is asymmetry_norm.
-    rules = _refined_rules()
     asym = 0.0
     for case in ("edge", "vertex", "near"):
         start = time.perf_counter()

@@ -57,6 +57,8 @@ def _error_payload(exc: Exception) -> tuple[int, dict]:
     if isinstance(exc, NotWatertightError):
         detail["boundary_edges"] = [list(map(int, e)) for e in exc.boundary_edges]
         detail["nonmanifold_edges"] = [list(map(int, e)) for e in exc.nonmanifold_edges]
+    if isinstance(exc, DegenerateTriangleError):
+        detail["indices"] = [int(i) for i in exc.indices]
     return code, {"schema": "caperror/1", "error": detail}
 
 
@@ -166,7 +168,7 @@ def _solve_report(args, mesh, panels, system, solution, ledger, timings) -> dict
             "command": "solve",
             "mesh": getattr(args, "mesh", None),
             **_shape_config(args),
-            "quad_order": bem.DEFAULT_QUAD_ORDER,
+            "quad_order": bem.FAR_RULE[0],
             "solver": "direct",
         },
         "mesh": {
@@ -325,7 +327,7 @@ def cmd_converge(args) -> int:
             "command": "converge",
             **_shape_config(args),
             "levels": levels,
-            "quad_order": bem.DEFAULT_QUAD_ORDER,
+            "quad_order": bem.FAR_RULE[0],
             "solver": "direct",
         },
         "rows": rows,

@@ -9,10 +9,10 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 import varcap
-from varcap import PanelSystem, assemble, bem, spd_check, triangle_potential, triangle_rule
-from varcap.bem import DEFAULT_QUAD_ORDER, FOUR_PI, _refined_rules
+from varcap import PanelSystem, assemble, bem, spd_check, triangle_potential
+from varcap.bem import FOUR_PI, _rules
 from varcap.cli import EXIT_MESH, main
-from varcap.errors import DegenerateTriangleError, VarcapError
+from varcap.errors import DegenerateTriangleError
 
 from oracles import (
     deep_panel_integral,
@@ -21,6 +21,10 @@ from oracles import (
 )
 
 TRI = np.array([[0.1, -0.2, 0.05], [1.3, 0.4, -0.1], [0.2, 1.1, 0.3]])
+
+# A deeper far rule for references: the ungraded collapsed 5 x 5 Gauss rule,
+# 25 points, exact to degree 8 (as the near ring's rule at 8 x 8 is to 14).
+DEEP_FAR_RULE = (8, *bem._duffy_rule(0, 5, lambda x: (x, np.ones_like(x))))
 
 
 def rule_monomial(points, weights, a, b):
@@ -31,45 +35,26 @@ def rule_monomial(points, weights, a, b):
 
 
 class TestQuadratureRules:
-    @pytest.mark.parametrize("order", range(1, 8))
-    def test_normalization_and_positivity(self, order):
-        rule = triangle_rule(order)
-        assert np.all(rule.weights > 0)
-        assert abs(rule.weights.sum() - 1.0) <= 1e-15
-        np.testing.assert_allclose(rule.points.sum(axis=1), 1.0, atol=1e-14)
-
-    @pytest.mark.parametrize("order", range(1, 8))
-    def test_declared_degree_is_exact(self, order):
-        rule = triangle_rule(order)
-        for a in range(rule.degree + 1):
-            for b in range(rule.degree + 1 - a):
-                exact = reference_triangle_monomial(a, b)
-                got = rule_monomial(rule.points, rule.weights, a, b)
-                assert got == pytest.approx(exact, abs=1e-15, rel=1e-13), (
-                    f"order {order} degree {a}+{b}"
-                )
-
-    def test_invalid_order(self):
-        with pytest.raises(VarcapError):
-            triangle_rule(0)
-        with pytest.raises(VarcapError):
-            triangle_rule(8)
-
-    @pytest.mark.parametrize("case, degree", [("edge", 4), ("vertex", 6), ("near", 14)])
+    @pytest.mark.parametrize(
+        "case, degree", [("far", 4), ("edge", 4), ("vertex", 6), ("near", 14)]
+    )
     def test_near_field_rules_exact_to_degree(self, case, degree):
-        # A Duffy-collapsed n x n Gauss rule with s = sigma^p (or 1 - (1 -
-        # sigma)^p) integrates degree d exactly while p (d + 1) + p - 1 <=
-        # 2n - 1: edge p = 3, n = 10; vertex p = 2, n = 8; near p = 1, n = 8.
-        points, weights = _refined_rules()[case]
+        # The far rule is Dunavant's degree-4 rule. A Duffy-collapsed n x n
+        # Gauss rule with s = sigma^p (or 1 - (1 - sigma)^p) integrates
+        # degree d exactly while p (d + 1) + p - 1 <= 2n - 1: edge p = 3,
+        # n = 10; vertex p = 2, n = 8; near p = 1, n = 8.
+        points, weights = _rules()[case]
+        if case == "far":
+            assert bem.FAR_RULE[0] == degree  # what reports give as quad_order
         assert np.all(weights > 0)
-        assert abs(weights.sum() - 1.0) <= 1e-14
+        assert abs(weights.sum() - 1.0) <= 1e-15
         assert np.all(points >= 0) and np.all(points <= 1)
         np.testing.assert_allclose(points.sum(axis=1), 1.0, atol=1e-15)
         for a in range(degree + 1):
             for b in range(degree + 1 - a):
                 exact = reference_triangle_monomial(a, b)
                 got = rule_monomial(points, weights, a, b)
-                assert got == pytest.approx(exact, rel=1e-12, abs=1e-16), (a, b)
+                assert got == pytest.approx(exact, rel=1e-13, abs=1e-16), (a, b)
 
 
 class TestTrianglePotential:
@@ -196,11 +181,12 @@ def four_dim_gauss_entry(tri_a, tri_b, order=16):
 
 
 class TestAssembly:
-    def test_separated_pair_entry_matches_oracle(self):
+    def test_separated_pair_entry_matches_oracle(self, monkeypatch):
         tri_a = TRI
         tri_b = TRI + np.array([20.0, 3.0, -5.0])
         panels = PanelSystem.from_triangles(np.stack([tri_a, tri_b]))
-        system = assemble(panels, rule=triangle_rule(7))
+        monkeypatch.setattr(bem, "FAR_RULE", DEEP_FAR_RULE)
+        system = assemble(panels)
         oracle = four_dim_gauss_entry(tri_a, tri_b) / FOUR_PI
         assert system.matrix[0, 1] == pytest.approx(oracle, rel=1e-10)
 
@@ -372,7 +358,7 @@ class TestAssembly:
         m = panels.n_panels
         pairs = np.random.default_rng(31).permutation(m * m)[:703]
         rows, srcs = pairs[3:] // m, pairs[3:] % m
-        pts, wts = _refined_rules()["near"]
+        pts, wts = _rules()["near"]
 
         def entries(order, pad, perms):
             r = np.concatenate([pairs[:pad] // m, rows[order]])
@@ -394,7 +380,7 @@ class TestAssembly:
     @staticmethod
     def _near_entries(panels, rows, srcs):
         # One direction of the near ring, as a lone _refined_entries call.
-        pts, wts = _refined_rules()["near"]
+        pts, wts = _rules()["near"]
         return bem._refined_entries(panels.corners, panels.areas, rows, srcs, None, pts, wts)
 
     @staticmethod
@@ -432,7 +418,7 @@ class TestAssembly:
 
     def test_far_entries_match_point_pair_definition(self, solved):
         # A far entry is a_i a_j sum_pq w_p w_q / (4 pi |x_p - y_q|) over the
-        # default rule's points on both panels: a plain loop over sampled far
+        # far rule's points on both panels: a plain loop over sampled far
         # pairs of sphere2, on both sides of the diagonal, must give the
         # assembled entries. Against the analytic inner integral under the
         # same outer rule, as the far field was once computed, they differ
@@ -446,32 +432,34 @@ class TestAssembly:
             refined[i, j] = refined[j, i] = True
         far_i, far_j = np.nonzero(~refined)
         pick = np.random.default_rng(43).choice(len(far_i), 400, replace=False)
-        rule = triangle_rule(DEFAULT_QUAD_ORDER)
+        _, points, weights = bem.FAR_RULE
         worst = 0.0
         for i, j in zip(far_i[pick], far_j[pick]):
-            x, y = rule.points @ corners[i], rule.points @ corners[j]
+            x, y = points @ corners[i], points @ corners[j]
             total = 0.0
-            for wp, xp in zip(rule.weights, x):
-                for wq, yq in zip(rule.weights, y):
+            for wp, xp in zip(weights, x):
+                for wq, yq in zip(weights, y):
                     total += wp * wq / math.dist(xp, yq)
             entry = areas[i] * areas[j] * total / FOUR_PI
             assert matrix[i, j] == pytest.approx(entry, rel=1e-13), (i, j)
             inner = varcap.triangle_potentials(x, corners[j])
-            analytic = areas[i] * float(rule.weights @ inner) / FOUR_PI
+            analytic = areas[i] * float(weights @ inner) / FOUR_PI
             worst = max(worst, abs(matrix[i, j] / analytic - 1.0))
         assert np.any(far_i[pick] < far_j[pick]) and np.any(far_i[pick] > far_j[pick])
         assert 0 < worst <= 2e-6
 
-    def test_far_field_rule_meets_quadrature_budget(self, solved):
+    def test_far_field_rule_meets_quadrature_budget(self, solved, monkeypatch):
         # The far field's 6 x 6 point pairs meet the quadrature budget
-        # |dC/C| <= 1e-7: the 16-point rule on both panels (256 pairs) must
-        # not move C beyond it. Measured: 6.3e-9 on sphere2, 5.0e-9 on
-        # cube4, 4.9e-10 on the ellipsoid.
-        for name in ("sphere2", "cube4", "ellipsoid"):
-            sm = solved(name)
-            deep = assemble(sm.panels, rule=triangle_rule(7))
+        # |dC/C| <= 1e-7: a degree-8 rule on both panels (25 x 25 pairs)
+        # must not move C beyond it. Measured: 6.3e-9 on sphere2, 5.0e-9 on
+        # cube4, 5.0e-10 on the ellipsoid.
+        names = ("sphere2", "cube4", "ellipsoid")
+        before = {name: solved(name).solution.capacitance for name in names}
+        monkeypatch.setattr(bem, "FAR_RULE", DEEP_FAR_RULE)
+        for name, c in before.items():
+            deep = assemble(solved(name).panels)
             c_deep = varcap.solve_capacitance(deep).capacitance
-            assert abs(sm.solution.capacitance - c_deep) <= 1e-7 * c_deep, name
+            assert abs(c - c_deep) <= 1e-7 * c_deep, name
 
     def test_duplicate_panels_rejected(self, tmp_path, capsys, monkeypatch):
         # Two panels with the same corners make A_h indefinite (the edge
@@ -495,6 +483,7 @@ class TestAssembly:
             assert code == EXIT_MESH == err["code"]
             assert err["type"] == "DegenerateTriangleError"
             assert "duplicate panels 0 and 1" in err["message"]
+            assert err["indices"] == [0, 1]
 
     def test_kernel_calls_within_point_budget(self, monkeypatch):
         # Every kernel call of an assembly stays within POINTS_PER_CALL, and
@@ -502,7 +491,7 @@ class TestAssembly:
         # budget small enough to split sphere2's rows into many tiles, the
         # entries are the same up to the weighted sums' round-off.
         panels = varcap.build_panels(varcap.make_icosphere(1.0, 2))
-        nq = len(triangle_rule(DEFAULT_QUAD_ORDER).weights)
+        nq = len(bem.FAR_RULE[2])
         kernel, tile = bem._potential_batch, bem._far_tile
         sizes, pairs = [], []
 

@@ -47,3 +47,11 @@ def test_workload_command_lines_parse(monkeypatch, tmp_path):
     for argv in calls:
         args = cli.build_parser().parse_args(argv)
         assert args.func.__name__ == f"cmd_{argv[0].replace('-', '_')}"
+
+
+def test_kernel_probe_runs():
+    # The traced run reads bem.kernel_evals_per_s from this probe, which
+    # times bem.triangle_potentials and checks its values.
+    rate, problems = load_bench("kernel").measure()
+    assert rate > 0
+    assert problems == []

@@ -219,6 +219,20 @@ class TestSolve:
         assert err["type"] == "NotWatertightError"
         assert err["boundary_edges"]
 
+    def test_sliver_mesh_reports_panel_index(self, tmp_path, capsys):
+        # A tetrahedron whose face (1, 3, 2) is split at a point 1e-15 off
+        # the middle of its edge (1, 2): the sixth face, (1, 5, 2), is a
+        # sliver, and the error names its 0-based index.
+        path = tmp_path / "sliver.obj"
+        verts = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nv 0.5 1e-15 0\n"
+        faces = "f 1 3 5\nf 5 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\nf 1 5 2\n"
+        path.write_text(verts + faces)
+        code, out = run_cli(capsys, "solve", "--mesh", str(path), "--json")
+        assert code == EXIT_MESH
+        err = json.loads(out)["error"]
+        assert err["type"] == "DegenerateTriangleError"
+        assert err["indices"] == [5]
+
 
 class TestConverge:
     def test_cube_study_with_extrapolation(self, capsys):
