@@ -35,17 +35,33 @@ def rule_monomial(points, weights, a, b):
 
 
 class TestQuadratureRules:
-    @pytest.mark.parametrize(
-        "case, degree", [("far", 4), ("edge", 4), ("vertex", 6), ("near", 14)]
-    )
+    # The far rule, Dunavant's 6-point rule, serves every requested order up
+    # to its degree, 4: orders 3 and 4 both get it.
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_normalization_and_positivity(self, order):
+        degree, points, weights = bem.FAR_RULE
+        assert degree >= order and len(weights) == 6
+        assert np.all(weights > 0)
+        assert abs(weights.sum() - 1.0) <= 1e-15
+        assert np.all(points >= 0) and np.all(points <= 1)
+        np.testing.assert_allclose(points.sum(axis=1), 1.0, atol=1e-15)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_declared_degree_is_exact(self, order):
+        degree, points, weights = bem.FAR_RULE
+        assert degree == 4  # what reports give as quad_order
+        for a in range(order + 1):
+            for b in range(order + 1 - a):
+                exact = reference_triangle_monomial(a, b)
+                got = rule_monomial(points, weights, a, b)
+                assert got == pytest.approx(exact, rel=1e-13, abs=1e-16), (a, b)
+
+    @pytest.mark.parametrize("case, degree", [("edge", 4), ("vertex", 6), ("near", 14)])
     def test_near_field_rules_exact_to_degree(self, case, degree):
-        # The far rule is Dunavant's degree-4 rule. A Duffy-collapsed n x n
-        # Gauss rule with s = sigma^p (or 1 - (1 - sigma)^p) integrates
-        # degree d exactly while p (d + 1) + p - 1 <= 2n - 1: edge p = 3,
-        # n = 10; vertex p = 2, n = 8; near p = 1, n = 8.
+        # A Duffy-collapsed n x n Gauss rule with s = sigma^p (or 1 - (1 -
+        # sigma)^p) integrates degree d exactly while p (d + 1) + p - 1 <=
+        # 2n - 1: edge p = 3, n = 10; vertex p = 2, n = 8; near p = 1, n = 8.
         points, weights = _rules()[case]
-        if case == "far":
-            assert bem.FAR_RULE[0] == degree  # what reports give as quad_order
         assert np.all(weights > 0)
         assert abs(weights.sum() - 1.0) <= 1e-15
         assert np.all(points >= 0) and np.all(points <= 1)
