@@ -47,7 +47,6 @@ REFINE_RTOL = 1e-12  # scaled relative residual the refined direct solve must re
 class ChargeSolution:
     sigma: np.ndarray
     capacitance: float
-    total_charge: float
     residual_norm: float
     solve_iterations: int
     lambda_min_lower_bound: float | None  # proven by the direct solve; None for cg
@@ -162,25 +161,24 @@ def solve_capacitance(system: GalerkinSystem, method: str = "direct") -> ChargeS
         sigma, info = scipy.sparse.linalg.cg(
             mat, b, rtol=CG_RTOL, atol=0.0, maxiter=10 * n, M=precond, callback=cb
         )
+        res = b - mat @ sigma
         if info != 0:
-            res = float(np.linalg.norm(mat @ sigma - b) / np.linalg.norm(b))
             raise SolveError(
-                f"CG did not converge in {10 * n} iterations "
-                f"(relative residual {res:.3e})"
+                f"CG did not converge in {10 * n} iterations (relative "
+                f"residual {np.linalg.norm(res) / np.linalg.norm(b):.3e})"
             )
         iterations = count[0]
         lambda_bound = None
     else:
         raise VarcapError(f"unknown solver {method!r}; expected 'direct' or 'cg'")
 
-    residual = float(np.linalg.norm(mat @ sigma - b) / np.linalg.norm(b))
-    total_charge = float(b @ sigma)
-    if not total_charge > 0:
-        raise SolveError(f"non-positive capacitance {total_charge!r} from solve")
+    # res is b - A_h sigma: the direct branch's last accepted residual.
+    residual = float(np.linalg.norm(res) / np.linalg.norm(b))
+    capacitance = float(b @ sigma)
+    if not capacitance > 0:
+        raise SolveError(f"non-positive capacitance {capacitance!r} from solve")
     sigma.setflags(write=False)
-    return ChargeSolution(
-        sigma, total_charge, total_charge, residual, iterations, lambda_bound
-    )
+    return ChargeSolution(sigma, capacitance, residual, iterations, lambda_bound)
 
 
 def rayleigh_bound(system: GalerkinSystem, v) -> QuotientValue:
@@ -244,9 +242,13 @@ def trial_families(centroids: np.ndarray) -> list[tuple[str, np.ndarray]]:
     """Nested built-in trial families: monomials in centroid coordinates.
 
     Returns (name, columns) pairs for span{1}, span{1, x, y, z} and the
-    full quadratic family, in nesting order.
+    full quadratic family, in nesting order. The coordinates are centred on
+    the mean centroid and divided by the largest centroid distance from it,
+    so the columns, and the bounds they give, do not depend on where the
+    conductor sits or how large it is.
     """
-    x, y, z = centroids[:, 0], centroids[:, 1], centroids[:, 2]
+    centred = centroids - centroids.mean(axis=0)
+    x, y, z = (centred / (np.max(np.linalg.norm(centred, axis=1)) or 1.0)).T
     one = np.ones(len(centroids))
     linear = [one, x, y, z]
     quadratic = linear + [x * x, y * y, z * z, x * y, y * z, z * x]

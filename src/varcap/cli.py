@@ -73,8 +73,25 @@ def _emit(payload: dict, out_path, as_json: bool, text: str | None = None) -> No
         print(text)
 
 
+def _ellipsoid(semiaxes: str, subdivisions: int) -> geometry.SurfaceMesh:
+    try:
+        a, b, c = (float(x) for x in semiaxes.split(","))
+    except ValueError as exc:
+        raise VarcapError(f"bad --semiaxes {semiaxes!r}, expected a,b,c") from exc
+    return geometry.make_ellipsoid(a, b, c, subdivisions)
+
+
+# Each built-in shape: its generator, its size option, its level option and
+# the level after n that halves the mesh width.
+SHAPES = {
+    "icosphere": (geometry.make_icosphere, "radius", "subdiv", lambda n: n + 1),
+    "cube": (geometry.make_cube, "side", "panels_per_edge", lambda n: 2 * n),
+    "ellipsoid": (_ellipsoid, "semiaxes", "subdiv", lambda n: n + 1),
+}
+
+
 def _add_shape_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--shape", choices=["icosphere", "cube", "ellipsoid"])
+    parser.add_argument("--shape", choices=list(SHAPES))
     parser.add_argument("--radius", type=float, default=1.0)
     parser.add_argument("--side", type=float, default=1.0)
     parser.add_argument(
@@ -85,58 +102,25 @@ def _add_shape_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_shape(args, level: int | None = None) -> geometry.SurfaceMesh:
-    if args.shape == "icosphere":
-        return geometry.make_icosphere(args.radius, level if level is not None else args.subdiv)
-    if args.shape == "cube":
-        return geometry.make_cube(
-            args.side, level if level is not None else args.panels_per_edge
-        )
-    if args.shape == "ellipsoid":
-        try:
-            a, b, c = (float(x) for x in args.semiaxes.split(","))
-        except ValueError as exc:
-            raise VarcapError(f"bad --semiaxes {args.semiaxes!r}, expected a,b,c") from exc
-        return geometry.make_ellipsoid(
-            a, b, c, level if level is not None else args.subdiv
-        )
-    raise VarcapError("no mesh source: pass --shape or --mesh")
+    if not args.shape:
+        raise VarcapError("no mesh source: pass --shape or --mesh")
+    make, size, level_option, _ = SHAPES[args.shape]
+    return make(getattr(args, size), getattr(args, level_option) if level is None else level)
 
 
 def _mesh_source(args) -> geometry.SurfaceMesh:
     if getattr(args, "mesh", None):
         if args.shape:
             raise VarcapError("pass exactly one of --mesh and --shape")
-        fmt = args.format or _infer_format(args.mesh)
-        return geometry.load_mesh(args.mesh, fmt)
+        return geometry.load_mesh(args.mesh)
     return _build_shape(args)
 
 
-def _infer_format(path: str) -> str:
-    lower = path.lower()
-    if lower.endswith(".obj"):
-        return "obj"
-    if lower.endswith(".stl"):
-        # Some exporters begin a binary header with "solid" too; a file whose
-        # length matches the facet count in its header is binary.
-        with open(path, "rb") as fh:
-            head = fh.read(84)
-            size = fh.seek(0, 2)
-        count = int.from_bytes(head[80:84], "little")
-        if head.startswith(b"solid") and size != 84 + 50 * count:
-            return "stl-ascii"
-        return "stl-binary"
-    raise MeshFormatError(f"cannot infer mesh format from {path!r}; pass --format")
-
-
 def _shape_config(args) -> dict:
-    cfg = {"shape": args.shape}
-    if args.shape == "icosphere":
-        cfg.update(radius=args.radius, subdiv=args.subdiv)
-    elif args.shape == "cube":
-        cfg.update(side=args.side, panels_per_edge=args.panels_per_edge)
-    elif args.shape == "ellipsoid":
-        cfg.update(semiaxes=args.semiaxes, subdiv=args.subdiv)
-    return cfg
+    if not args.shape:
+        return {"shape": None}
+    _, size, level, _ = SHAPES[args.shape]
+    return {"shape": args.shape, size: getattr(args, size), level: getattr(args, level)}
 
 
 def _solve_pipeline(mesh, workers):
@@ -228,13 +212,8 @@ def cmd_generate(args) -> int:
     if not args.shape:
         raise VarcapError("generate requires --shape")
     mesh = _build_shape(args)
-    fmt = args.format or ("obj" if args.out.lower().endswith(".obj") else "stl")
-    if fmt == "obj":
-        geometry.save_obj(mesh, args.out)
-    elif fmt == "stl":
-        geometry.save_stl(mesh, args.out)
-    else:
-        raise VarcapError(f"unknown output format {fmt!r}; expected obj or stl")
+    fmt = "obj" if args.out.lower().endswith(".obj") else "stl"
+    (geometry.save_obj if fmt == "obj" else geometry.save_stl)(mesh, args.out)
     print(
         json.dumps(
             {
@@ -291,15 +270,13 @@ def cmd_converge(args) -> int:
         raise VarcapError(f"bad --levels {args.levels!r}") from exc
     if len(levels) < 2:
         raise VarcapError("converge needs at least 2 refinement levels")
-    if len(levels) >= 3:
-        # Richardson extrapolation assumes the mesh width halves per level.
-        cube = args.shape == "cube"
-        if levels[1:] != [2 * n if cube else n + 1 for n in levels[:-1]]:
-            rule = "double the panels per edge" if cube else "be consecutive subdivisions"
-            raise VarcapError(
-                f"--levels {args.levels!r} must {rule}: Richardson extrapolation "
-                "assumes a refinement ratio of 2"
-            )
+    refine = SHAPES[args.shape][3]
+    if len(levels) >= 3 and levels[1:] != [refine(n) for n in levels[:-1]]:
+        raise VarcapError(
+            f"--levels {args.levels!r} must halve the mesh width per level, as "
+            f"{levels[0]},{refine(levels[0])} does: Richardson extrapolation "
+            "assumes a refinement ratio of 2"
+        )
     # convreport/2 carries C and C0 per level, so no SPD check or bound ledger.
     rows = []
     for level in levels:
@@ -394,8 +371,8 @@ def cmd_verify_principle(args) -> int:
         consistent = holds
     elif report.classification == "indefinite":
         consistent = report.best_quotient > qfu
-    else:  # nonpos: the principle must fail unless the operator is zero
-        consistent = not holds or form.norm == 0.0
+    else:  # nonpos: the principle must fail (a zero form classifies as nonneg)
+        consistent = not holds
     out = {
         "schema": "principlereport/1",
         "classification": report.classification,
@@ -410,6 +387,13 @@ def cmd_verify_principle(args) -> int:
     return EXIT_OK if consistent else EXIT_PRINCIPLE
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varcap",
@@ -420,15 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a built-in shape to OBJ/STL")
     _add_shape_args(gen)
-    gen.add_argument("--format", choices=["obj", "stl"])
-    gen.add_argument("--out", required=True)
+    gen.add_argument("--out", required=True, help="OBJ if it ends in .obj, else binary STL")
     gen.set_defaults(func=cmd_generate)
 
     solve = sub.add_parser("solve", help="solve capacitance and emit a report")
     _add_shape_args(solve)
-    solve.add_argument("--mesh", help="mesh file path (instead of --shape)")
-    solve.add_argument("--format", choices=["obj", "stl-ascii", "stl-binary"])
-    solve.add_argument("--workers", type=int, default=1)
+    solve.add_argument("--mesh", help="OBJ or STL file (instead of --shape)")
+    solve.add_argument("--workers", type=_positive_int, default=1)
     solve.add_argument("--out")
     solve.add_argument("--json", action="store_true")
     solve.set_defaults(func=cmd_solve)
@@ -436,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv = sub.add_parser("converge", help="refinement study with extrapolation")
     _add_shape_args(conv)
     conv.add_argument("--levels", required=True, help="comma-separated refinements")
-    conv.add_argument("--workers", type=int, default=1)
+    conv.add_argument("--workers", type=_positive_int, default=1)
     conv.add_argument("--out")
     conv.add_argument("--json", action="store_true")
     conv.set_defaults(func=cmd_converge)

@@ -307,49 +307,44 @@ def _weld(raw_vertices: np.ndarray, raw_triangles: np.ndarray) -> SurfaceMesh:
     return SurfaceMesh(raw_vertices[first], inverse.reshape(-1)[raw_triangles])
 
 
-def _load_obj(path: str) -> SurfaceMesh:
+def _load_obj(path: str, data: bytes) -> SurfaceMesh:
     verts = []
     tris = []
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise MeshFormatError(f"{path}:{lineno}: malformed vertex record")
+    for lineno, line in enumerate(data.splitlines(), 1):
+        parts = line.decode("utf-8", errors="replace").split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if parts[0] == "v":
+            if len(parts) < 4:
+                raise MeshFormatError(f"{path}:{lineno}: malformed vertex record")
+            try:
+                verts.append(tuple(float(x) for x in parts[1:4]))
+            except ValueError as exc:
+                raise MeshFormatError(f"{path}:{lineno}: bad vertex coordinate") from exc
+        elif parts[0] == "f":
+            idx = []
+            for tok in parts[1:]:
+                head = tok.split("/")[0]
                 try:
-                    verts.append(tuple(float(x) for x in parts[1:4]))
+                    i = int(head)
                 except ValueError as exc:
                     raise MeshFormatError(
-                        f"{path}:{lineno}: bad vertex coordinate"
+                        f"{path}:{lineno}: bad face index {tok!r}"
                     ) from exc
-            elif parts[0] == "f":
-                idx = []
-                for tok in parts[1:]:
-                    head = tok.split("/")[0]
-                    try:
-                        i = int(head)
-                    except ValueError as exc:
-                        raise MeshFormatError(
-                            f"{path}:{lineno}: bad face index {tok!r}"
-                        ) from exc
-                    idx.append(i - 1 if i > 0 else len(verts) + i)
-                if len(idx) < 3:
-                    raise MeshFormatError(f"{path}:{lineno}: face with < 3 vertices")
-                for k in range(1, len(idx) - 1):  # fan triangulation
-                    tris.append((idx[0], idx[k], idx[k + 1]))
+                idx.append(i - 1 if i > 0 else len(verts) + i)
+            if len(idx) < 3:
+                raise MeshFormatError(f"{path}:{lineno}: face with < 3 vertices")
+            for k in range(1, len(idx) - 1):  # fan triangulation
+                tris.append((idx[0], idx[k], idx[k + 1]))
     if not verts or not tris:
         raise MeshFormatError(f"{path}: no geometry found")
     return SurfaceMesh(np.array(verts), np.array(tris, dtype=np.int64))
 
 
-def _load_stl_ascii(path: str) -> SurfaceMesh:
+def _load_stl_ascii(path: str, data: bytes) -> SurfaceMesh:
     raw_verts = []
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        text = fh.read()
     count = 0
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(data.decode("utf-8", errors="replace").splitlines(), 1):
         parts = line.split()
         if not parts:
             continue
@@ -372,9 +367,7 @@ def _load_stl_ascii(path: str) -> SurfaceMesh:
     return _weld(raw, tris)
 
 
-def _load_stl_binary(path: str) -> SurfaceMesh:
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _load_stl_binary(path: str, data: bytes) -> SurfaceMesh:
     if len(data) < 84:
         raise MeshFormatError(f"{path}: binary STL shorter than its header")
     (count,) = struct.unpack_from("<I", data, 80)
@@ -393,21 +386,24 @@ def _load_stl_binary(path: str) -> SurfaceMesh:
     return _weld(raw, tris)
 
 
-_LOADERS = {
-    "obj": _load_obj,
-    "stl-ascii": _load_stl_ascii,
-    "stl-binary": _load_stl_binary,
-}
+def load_mesh(path: str) -> SurfaceMesh:
+    """Load an OBJ, ASCII STL or binary STL mesh, telling them apart by content.
 
-
-def load_mesh(path: str, format: str) -> SurfaceMesh:
-    """Load a surface mesh; ``format`` is one of obj, stl-ascii, stl-binary."""
-    loader = _LOADERS.get(format)
-    if loader is None:
-        raise MeshFormatError(
-            f"unknown format {format!r}; expected one of {sorted(_LOADERS)}"
-        )
-    return loader(path)
+    A file whose length is 84 + 50 * count, count being the facet count in
+    its header, is binary STL, even when the header begins with "solid" as
+    some exporters write it. Any other file that begins with "solid" is
+    ASCII STL. Any other ``.stl`` file is read as binary, so a truncated or
+    empty one is reported as such, and everything else is read as OBJ.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) == 84 + 50 * int.from_bytes(data[80:84], "little"):
+        return _load_stl_binary(path, data)
+    if data.startswith(b"solid"):
+        return _load_stl_ascii(path, data)
+    if str(path).lower().endswith(".stl"):
+        return _load_stl_binary(path, data)
+    return _load_obj(path, data)
 
 
 def save_obj(mesh: SurfaceMesh, path: str) -> None:

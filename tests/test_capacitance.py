@@ -29,13 +29,14 @@ FOUR_PI = 4.0 * math.pi
 class TestSolve:
     def test_direct_solution_quality(self, solved):
         sm = solved("sphere2")
+        sigma, b = sm.solution.sigma, sm.system.areas
         assert sm.solution.residual_norm < 1e-12
-        assert sm.solution.capacitance == pytest.approx(
-            sm.solution.total_charge, rel=1e-15
-        )
+        # residual_norm comes from the refinement's last accepted residual.
+        residual = np.linalg.norm(sm.system.matrix @ sigma - b) / np.linalg.norm(b)
+        assert sm.solution.residual_norm == residual
+        assert sm.solution.capacitance == pytest.approx(float(b @ sigma), rel=1e-15)
         # Equilibrium density on a sphere is constant; panel values vary only
         # with the few-percent shape variation of the icosphere triangles.
-        sigma = sm.solution.sigma
         assert np.ptp(sigma) < 0.05 * np.mean(sigma)
 
     def test_cg_matches_direct(self, solved):
@@ -274,6 +275,29 @@ class TestSubspaceBounds:
             for _, cols in trial_families(system.centroids)
         ]
         assert values[1] > values[0] * (1 + 1e-10)
+
+    def test_bounds_ignore_position_and_size(self, solved):
+        # The families span the same space on a moved or scaled copy, so the
+        # bounds (over the copy's scale) equal the original's and stay nested.
+        base = solved("ellipsoid")
+        expected = [
+            subspace_bound(base.system, cols.T)
+            for _, cols in trial_families(base.system.centroids)
+        ]
+        copies = [
+            (1.0, base.mesh.transformed(lambda v: v + [1e3, 3e2, -7e2])),
+            (1e-6, base.mesh.scaled(1e-6)),
+            (1e6, base.mesh.scaled(1e6)),
+        ]
+        for scale, mesh in copies:
+            system = varcap.assemble(varcap.build_panels(mesh))
+            values = [
+                subspace_bound(system, cols.T) / scale
+                for _, cols in trial_families(system.centroids)
+            ]
+            assert values == pytest.approx(expected, rel=1e-9), scale
+            assert values[1] >= values[0] * (1 - 1e-12), scale
+            assert values[2] >= values[1] * (1 - 1e-12), scale
 
     def test_constant_family_equals_zeroth(self, solved):
         sm = solved("cube4")

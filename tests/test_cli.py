@@ -3,6 +3,8 @@
 import argparse
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from varcap.cli import (
     EXIT_OK,
     EXIT_PRINCIPLE,
     EXIT_USAGE,
-    _infer_format,
     build_parser,
     main,
     richardson_extrapolate,
@@ -45,13 +46,37 @@ class TestSurface:
             for name, p in sub.choices.items()
         }
         assert options == {
-            "generate": SHAPE_OPTIONS | {"--format", "--out"},
-            "solve": SHAPE_OPTIONS
-            | {"--mesh", "--format", "--workers", "--out", "--json"},
+            "generate": SHAPE_OPTIONS | {"--out"},
+            "solve": SHAPE_OPTIONS | {"--mesh", "--workers", "--out", "--json"},
             "converge": SHAPE_OPTIONS | {"--levels", "--workers", "--out", "--json"},
             "verify-principle": {"--input", "--out"},
         }
-        assert sum(map(len, options.values())) == 31
+        assert sum(map(len, options.values())) == 29
+
+    def test_readme_command_lines_parse(self):
+        # Every varcap line of README's command-line block names only
+        # options that exist.
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+        lines = [
+            line for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("varcap ")
+        ]
+        assert len(lines) >= 5
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--shape", "cube"], ["converge", "--shape", "cube", "--levels", "2,4"]],
+        ids=["solve", "converge"],
+    )
+    def test_workers_below_one_rejected(self, argv, workers, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", workers])
+        assert exc.value.code == EXIT_USAGE
+        assert "--workers: must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -81,7 +106,7 @@ class TestGenerate:
         report = json.loads(out)
         assert report["schema"] == "genreport/1"
         assert report["triangles"] == 80
-        mesh = varcap.load_mesh(str(path), "obj")
+        mesh = varcap.load_mesh(str(path))
         assert mesh.n_triangles == 80
 
     def test_stl_output(self, tmp_path, capsys):
@@ -92,7 +117,7 @@ class TestGenerate:
         )
         assert code == EXIT_OK
         assert json.loads(out)["format"] == "stl"
-        assert varcap.load_mesh(str(path), "stl-binary").n_triangles == 48
+        assert varcap.load_mesh(str(path)).n_triangles == 48
 
     def test_requires_shape(self, tmp_path, capsys):
         code, out = run_cli(capsys, "generate", "--out", str(tmp_path / "x.obj"))
@@ -191,9 +216,27 @@ class TestSolve:
         code, out = run_cli(capsys, "solve", "--mesh", str(path), "--json")
         assert code == EXIT_OK, out
         assert json.loads(out)["mesh"]["panels"] == 80
+        # Any other file that begins with "solid" is ASCII STL.
         ascii_path = tmp_path / "a.stl"
         ascii_path.write_text("solid a\nendsolid a\n")
-        assert _infer_format(str(ascii_path)) == "stl-ascii"
+        code, out = run_cli(capsys, "solve", "--mesh", str(ascii_path), "--json")
+        assert code == EXIT_IO
+        assert "0 facets" in json.loads(out)["error"]["message"]
+
+    def test_obj_under_any_name(self, tmp_path, capsys):
+        path = tmp_path / "mesh.txt"
+        varcap.save_obj(varcap.make_icosphere(1.0, 1), str(path))
+        code, out = run_cli(capsys, "solve", "--mesh", str(path), "--json")
+        assert code == EXIT_OK, out
+        assert json.loads(out)["mesh"]["panels"] == 80
+
+    def test_truncated_stl(self, tmp_path, capsys):
+        path = tmp_path / "cut.stl"
+        varcap.save_stl(varcap.make_icosphere(1.0, 1), str(path))
+        path.write_bytes(path.read_bytes()[:-10])
+        code, out = run_cli(capsys, "solve", "--mesh", str(path), "--json")
+        assert code == EXIT_IO
+        assert "truncated binary STL" in json.loads(out)["error"]["message"]
 
     def test_mesh_and_shape_conflict(self, tmp_path, capsys):
         code, out = run_cli(
@@ -323,6 +366,14 @@ class TestVerifyPrinciple:
             report = json.loads(out)
             assert report["classification"] == "nonpos"
             assert report["consistent"] is True
+
+    def test_zero_form_consistent(self, tmp_path, capsys):
+        path = self.write_form(tmp_path, [[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
+        code, out = run_cli(capsys, "verify-principle", "--input", path)
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["classification"] == "nonneg"
+        assert report["consistent"] is True
 
     def test_bad_schema(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -242,7 +242,7 @@ class TestFileRoundTrips:
         mesh = varcap.make_icosphere(1.0, 1)
         path = tmp_path / "sphere.obj"
         varcap.save_obj(mesh, str(path))
-        loaded = varcap.load_mesh(str(path), "obj")
+        loaded = varcap.load_mesh(str(path))
         assert np.array_equal(loaded.vertices, mesh.vertices)
         assert np.array_equal(loaded.triangles, mesh.triangles)
 
@@ -253,14 +253,14 @@ class TestFileRoundTrips:
             "f 1 4 3 2\n"          # quad base, fan-triangulated
             "f 1 2 5\nf 2 3 5\nf 3 4 5\nf -2 1 5\n"
         )
-        mesh = varcap.load_mesh(str(path), "obj")
+        mesh = varcap.load_mesh(str(path))
         assert mesh.n_triangles == 6
 
     def test_stl_binary_round_trip(self, tmp_path):
         mesh = varcap.make_icosphere(1.0, 1)
         path = tmp_path / "sphere.stl"
         varcap.save_stl(mesh, str(path))
-        loaded = varcap.load_mesh(str(path), "stl-binary")
+        loaded = varcap.load_mesh(str(path))
         assert loaded.n_triangles == mesh.n_triangles
         # Binary STL stores float32 coordinates; round-trip at that precision.
         orig = np.sort(mesh.vertices.view("f8").reshape(-1, 3), axis=0)
@@ -280,9 +280,13 @@ class TestFileRoundTrips:
             lines.append("endfacet")
         lines.append("endsolid tet")
         path.write_text("\n".join(lines) + "\n")
-        mesh = varcap.load_mesh(str(path), "stl-ascii")
+        mesh = varcap.load_mesh(str(path))
         assert mesh.n_triangles == 4
         assert mesh.n_vertices == 4  # duplicates welded
+        # The content decides the format, not the name.
+        renamed = tmp_path / "tet.obj"
+        renamed.write_bytes(path.read_bytes())
+        assert varcap.load_mesh(str(renamed)).vertices.tobytes() == mesh.vertices.tobytes()
 
     def test_weld_keeps_first_occurrence(self):
         raw = TET_VERTS[TET_TRIS].reshape(-1, 3)
@@ -298,10 +302,8 @@ class TestFileRoundTrips:
         bad = tmp_path / "bad.obj"
         bad.write_text("v 1 2\nf 1 2 3\n")
         with pytest.raises(MeshFormatError):
-            varcap.load_mesh(str(bad), "obj")
+            varcap.load_mesh(str(bad))
         trunc = tmp_path / "trunc.stl"
         trunc.write_bytes(b"\x00" * 90)
-        with pytest.raises(MeshFormatError):
-            varcap.load_mesh(str(trunc), "stl-binary")
-        with pytest.raises(MeshFormatError):
-            varcap.load_mesh(str(bad), "gltf")
+        with pytest.raises(MeshFormatError, match="zero facets"):
+            varcap.load_mesh(str(trunc))
