@@ -2,9 +2,10 @@
 
 The equilibrium density solves A_h sigma = b where b is the panel-area
 vector (the weak form of "surface at potential 1"); the capacitance is
-C = b^T sigma. Trial densities give certified lower bounds through the
+C_h = b^T sigma. Trial densities give lower bounds on C_h through the
 Rayleigh quotient |b^T v|^2 / (v^T A_h v), and upper information through
-the Gauss energy-per-charge functional (v^T A_h v) / (b^T v)^2 >= 1/C.
+the Gauss energy-per-charge functional (v^T A_h v) / (b^T v)^2 >= 1/C_h.
+They bound the true C only up to the quadrature error in A_h.
 The constant density yields the zeroth approximation
 C0 = 4 pi |S|^2 / J with J the double surface integral of 1/r.
 """
@@ -20,7 +21,7 @@ import scipy.sparse.linalg
 
 from .bem import FOUR_PI, GalerkinSystem
 from .errors import SolveError, VarcapError, ZeroTotalChargeError
-from .varprinciple import DENOM_EPS, QuotientValue, _vector
+from .varprinciple import QuotientValue, _quotients, _vector
 
 __all__ = [
     "ChargeSolution",
@@ -182,18 +183,15 @@ def solve_capacitance(system: GalerkinSystem, method: str = "direct") -> ChargeS
 
 
 def rayleigh_bound(system: GalerkinSystem, v) -> QuotientValue:
-    """Lower bound |b^T v|^2 / (v^T A_h v) for the capacitance.
+    """Lower bound |b^T v|^2 / (v^T A_h v) on the discrete capacitance C_h.
 
-    Degenerate denominators follow the zero convention and are flagged.
+    Denominators within DENOM_EPS max|A_h| |v|^2 of zero follow the zero
+    convention and are flagged.
     """
     v = _vector(v, system.n, "v")
-    av = system.matrix @ v
-    denom = float(v @ av)
-    norm_a = float(np.max(np.abs(system.matrix)))
-    if abs(denom) <= DENOM_EPS * norm_a * float(v @ v):
-        return QuotientValue(0.0, True)
-    num = float(system.areas @ v) ** 2
-    return QuotientValue(num / denom, False)
+    scale = float(np.max(np.abs(system.matrix)))
+    values, degenerate = _quotients(system.matrix, system.areas, v[None], scale)
+    return QuotientValue(float(values[0]), bool(degenerate[0]))
 
 
 def gauss_functional(system: GalerkinSystem, v) -> float:

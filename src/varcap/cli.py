@@ -10,14 +10,14 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import bem, capacitance, geometry, varprinciple
 from .errors import (
     AssemblyError,
     AsymmetricMatrixError,
     DegenerateTriangleError,
-    DimensionMismatchError,
     MeshFormatError,
-    NonFiniteInputError,
     NotWatertightError,
     SolveError,
     VarcapError,
@@ -40,8 +40,6 @@ _ERROR_CODES = [
     (SolveError, EXIT_SOLVE),
     (ZeroTotalChargeError, EXIT_SOLVE),
     (AsymmetricMatrixError, EXIT_PRINCIPLE),
-    (DimensionMismatchError, EXIT_USAGE),
-    (NonFiniteInputError, EXIT_USAGE),
     (OSError, EXIT_IO),
     (VarcapError, EXIT_USAGE),
 ]
@@ -329,16 +327,8 @@ def _witness_payload(witness) -> dict | None:
     if witness is None:
         return None
     return {
-        "z": witness.z.tolist(),
-        "w": witness.w.tolist(),
-        "a": witness.a,
-        "b": witness.b,
-        "c": witness.c,
-        "lambda1": witness.lambda1,
-        "lambda2": witness.lambda2,
-        "lambda_star": witness.lambda_star,
-        "v_star": witness.v_star.tolist(),
-        "quotient": witness.quotient,
+        name: value.tolist() if isinstance(value, np.ndarray) else value
+        for name, value in vars(witness).items()
     }
 
 

@@ -39,7 +39,8 @@ __all__ = [
     "SPECTRAL_EPS",
 ]
 
-# Degeneracy band for the quotient denominator, relative to ||A|| ||v||^2.
+# Degeneracy band for the quotient denominator, relative to scale |v|^2
+# (see _quotients).
 DENOM_EPS = 1e-13
 
 # Eigenvalue sign tolerance for classification, relative to ||A||.
@@ -155,16 +156,25 @@ def _vector(x, n: int, name: str) -> np.ndarray:
     return v
 
 
+def _quotients(matrix: np.ndarray, au: np.ndarray, vs: np.ndarray, scale: float):
+    """(v.Au)^2 / (v.Av) for each row v of ``vs``, and which rows are degenerate.
+
+    A row is degenerate, and its value 0, when |v.Av| <= DENOM_EPS scale |v|^2:
+    the paper's convention for (Av, v) = 0. Every quotient in varcap is
+    evaluated here.
+    """
+    denoms = np.einsum("ij,ij->i", vs, vs @ matrix)
+    degenerate = np.abs(denoms) <= DENOM_EPS * scale * np.einsum("ij,ij->i", vs, vs)
+    values = np.divide((vs @ au) ** 2, denoms, out=np.zeros(len(vs)), where=~degenerate)
+    return values, degenerate
+
+
 def quotient(form: SymmetricForm, u, v) -> QuotientValue:
     """Evaluate |(Av, u)|^2 / (Av, v), zero in the degeneracy band."""
     u = _vector(u, form.n, "u")
     v = _vector(v, form.n, "v")
-    av = form.matrix @ v
-    denom = float(v @ av)
-    if abs(denom) <= DENOM_EPS * form.norm * float(v @ v):
-        return QuotientValue(0.0, True)
-    num = float(u @ av) ** 2
-    return QuotientValue(num / denom, False)
+    values, degenerate = _quotients(form.matrix, form.matrix @ u, v[None], form.norm)
+    return QuotientValue(float(values[0]), bool(degenerate[0]))
 
 
 def classify(form: SymmetricForm) -> str:
@@ -214,20 +224,19 @@ def find_witness(form: SymmetricForm, u) -> Optional[IndefinitenessWitness]:
     if max(abs(alpha), abs(beta)) <= 1e-12 * au_norm or au_norm == 0.0:
         return None  # numerator vanishes identically on span{z, w}
 
-    delta0 = 0.5 * min(-lambda1, lambda2)
-    best = None
-    for k in range(SWEEP_STEPS):
-        delta = delta0 * APPROACH_FACTOR**k
-        for lam in (lambda1 - delta, lambda2 + delta):
-            v = lam * z + w
-            q = quotient(form, u, v)
-            if q.degenerate:
-                continue
-            if best is None or q.value > best[2]:
-                best = (lam, v, q.value)
-    if best is None:
+    # Candidates lambda1 - delta and lambda2 + delta for each step toward the
+    # poles, evaluated as one batch. Near a pole a batch row and a single
+    # quotient call round differently, so the chosen one is evaluated again
+    # and the witness reports what quotient() gives for v_star.
+    deltas = 0.5 * min(-lambda1, lambda2) * APPROACH_FACTOR ** np.arange(SWEEP_STEPS)
+    lams = np.column_stack([lambda1 - deltas, lambda2 + deltas]).ravel()
+    values, degenerate = _quotients(form.matrix, au, lams[:, None] * z + w, form.norm)
+    k = int(np.argmax(np.where(degenerate, -np.inf, values)))
+    if degenerate[k]:
         return None
-    lam_star, v_star, q_star = best
+    lam_star = float(lams[k])
+    v_star = lam_star * z + w
+    q_star = quotient(form, u, v_star).value
     z.setflags(write=False)
     w.setflags(write=False)
     v_star.setflags(write=False)
@@ -249,22 +258,17 @@ def verify_principle(
     if random_trials < 1:
         raise ValueError(f"random_trials must be >= 1, got {random_trials}")
     cls = classify(form)
-    qfu = float(u @ form.matrix @ u)
-    at_u = quotient(form, u, u)
-    best = at_u.value
+    au = form.matrix @ u
+    qfu = float(u @ au)
+    at_u = float(_quotients(form.matrix, au, u[None], form.norm)[0][0])
+    best = at_u
 
     rng = np.random.default_rng(seed)
 
     def random_best(trials: int) -> float:
         v = rng.standard_normal((trials, form.n))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        av = v @ form.matrix
-        denoms = np.einsum("ij,ij->i", v, av)
-        nums = (av @ u) ** 2
-        ok = np.abs(denoms) > DENOM_EPS * form.norm  # rows are unit vectors
-        if not np.any(ok):
-            return 0.0
-        return float(np.max(nums[ok] / denoms[ok]))
+        return float(np.max(_quotients(form.matrix, au, v, form.norm)[0]))
 
     best = max(best, random_best(int(random_trials)))
 
@@ -276,7 +280,7 @@ def verify_principle(
         if witness is None or witness.quotient <= qfu:
             best = max(best, random_best(10_000))
 
-    attained = abs(at_u.value - qfu) <= 1e-10 * (1.0 + abs(qfu))
+    attained = abs(at_u - qfu) <= 1e-10 * (1.0 + abs(qfu))
     # The quotient scales with ||A|| |u|^2, and so does the slack.
     slack = 1e-12 * form.norm * float(u @ u)
     holds = best <= qfu * (1.0 + 1e-8) + slack and attained

@@ -55,3 +55,16 @@ def test_kernel_probe_runs():
     rate, problems = load_bench("kernel").measure()
     assert rate > 0
     assert problems == []
+
+
+def test_smoke_round_passes_checks(tmp_path):
+    # One smoke round of each workload answers every operation and passes the
+    # benchmark's own checks (the principle report's witness and consistency
+    # among them), so a change that breaks one fails here too.
+    workloads = load_bench("workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        inputs = workload.prepare(0, True, tmp_path)
+        answers = workload.run_round(inputs)
+        problems, _ = workload.check(inputs, answers)
+        assert None not in answers, name
+        assert problems == [], (name, problems)

@@ -203,6 +203,22 @@ class TestFunctionals:
             g = gauss_functional(sm.system, v)
             assert r.value == pytest.approx(1.0 / g, rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["sphere2", "cube4"])
+    def test_rayleigh_is_the_papers_quotient(self, solved, name):
+        # The bound is |(Au, v)|^2 / (Av, v) with A = A_h and Au = A_h sigma = b.
+        sm = solved(name)
+        form = varcap.SymmetricForm.from_matrix(sm.system.matrix)
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            v = rng.standard_normal(sm.system.n)
+            expected = varcap.quotient(form, sm.solution.sigma, v).value
+            assert rayleigh_bound(sm.system, v).value == pytest.approx(expected, rel=1e-12)
+
+    def test_rayleigh_zero_density_is_degenerate(self, solved):
+        system = solved("sphere2").system
+        q = rayleigh_bound(system, np.zeros(system.n))
+        assert q.degenerate and q.value == 0.0
+
     def test_gauss_zero_charge_rejected(self, solved):
         sm = solved("sphere1")
         v = np.ones(sm.system.n)

@@ -15,6 +15,7 @@ from varcap.errors import (
     DimensionMismatchError,
     NonFiniteInputError,
 )
+from varcap.varprinciple import APPROACH_FACTOR, SWEEP_STEPS
 
 
 def random_spd(rng, n):
@@ -159,6 +160,27 @@ class TestNecessity:
         report = verify_principle(form, u, seed=5)
         assert report.classification == "indefinite"
         assert report.best_quotient > float(u @ form.matrix @ u)
+
+
+class TestWitnessSweep:
+    def test_batch_picks_the_one_at_a_time_candidate(self):
+        # find_witness evaluates its 2 * SWEEP_STEPS candidates as one batch;
+        # one quotient call per candidate must choose the same lambda_star.
+        rng = np.random.default_rng(41)
+        for n in [int(rng.integers(2, 21)) for _ in range(50)] + [200]:
+            form = SymmetricForm.from_matrix(random_indefinite(rng, n))
+            u = rng.standard_normal(n)
+            witness = find_witness(form, u)
+            delta0 = 0.5 * min(-witness.lambda1, witness.lambda2)
+            best = None
+            for k in range(SWEEP_STEPS):
+                delta = delta0 * APPROACH_FACTOR**k
+                for lam in (witness.lambda1 - delta, witness.lambda2 + delta):
+                    q = quotient(form, u, lam * witness.z + witness.w)
+                    if not q.degenerate and (best is None or q.value > best[1]):
+                        best = (lam, q.value)
+            assert witness.lambda_star == best[0]
+            assert witness.quotient == quotient(form, u, witness.v_star).value
 
 
 class TestDeterminism:
