@@ -7,6 +7,10 @@ Methods, 2011, ch. 5). The diagonal has a closed form. Touching pairs
 (shared edge or vertex) and the near ring, found by one KD-tree query, use
 the closed-form potential of a uniformly charged triangle inside and a
 collapsed tensor Gauss rule, graded toward the shared feature, outside.
+The potential is evaluated in the source triangle's own frame: a point's
+coordinates (u, v, h) there and its distances d_k from the sides' lines
+are affine in the point, so the outer rule's values are interpolated from
+the outer triangle's corners with the rule's barycentric table.
 Every entry is written once, divided by 4 pi, into the upper triangle:
 the far field and the near ring evaluate each pair (i, j), i < j, once;
 touching pairs are evaluated in both directions, whose difference is
@@ -85,11 +89,11 @@ NEAR_RULES = {
 }
 NEAR_FACTOR = 2.0
 
-# Evaluation points per _potential_batch call. The kernel keeps 17
-# temporaries of this many doubles, 2.2 MB at 16k, about one 2 MB L2 cache.
-# On a 2-core x86 VM, 16k against 50k ran each class 11-21% faster (sphere3
-# near ring 0.175 -> 0.144 s, cube8 vertex 0.072 -> 0.058 s); 4k, 8k and 32k
-# were slower than 16k.
+# Evaluation points per _potential_local call. The kernel holds its 5
+# inputs and 10 temporaries of this many doubles, 2.0 MB at 16k, about one
+# 2 MB L2 cache. On a 2-core x86 VM (better of two runs, each best of 9),
+# sphere3's and cube8's refined classes took 118 and 105 ms at 8k, 118 and
+# 97 ms at 16k, 127 and 110 ms at 32k.
 POINTS_PER_CALL = 16_384
 
 # Far-field tiles of FAR_ROWS panel rows: sphere3's far field took 0.23,
@@ -109,75 +113,123 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
 
 
-def _dot3(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """out = a[0] b[0] + a[1] b[1] + a[2] b[2], in place, for component arrays."""
-    np.multiply(a[0], b[0], out=out)
-    out += np.multiply(a[1], b[1], out=tmp)
-    out += np.multiply(a[2], b[2], out=tmp)
+def _frames(tris: np.ndarray) -> tuple:
+    """Each triangle's local frame: tris (P, 3, 3) -> (origin, axes, dims).
+
+    Corner 0 is the origin, x runs along edge 0 -> 1 and z is the unit
+    normal, so the corners sit at (0, 0), (l2, 0) and (x2, y2), y2 > 0.
+    ``axes`` (P, 3, 3) holds the unit x, y and z rows; ``dims`` (5, P, 1)
+    holds the side lengths l0, l1, l2 (side k opposite corner k), x2 and
+    y2. Norms and dot products are summed component by component, so a
+    triangle's frame does not depend on the triangles passed with it.
+    """
+    def norm(a):
+        return np.sqrt(a[..., 0] ** 2 + a[..., 1] ** 2 + a[..., 2] ** 2)
+
+    edges = tris[:, [2, 0, 1]] - tris[:, [1, 2, 0]]
+    e01, e02 = edges[:, 2], -edges[:, 1]
+    length = norm(edges)
+    ex = e01 / length[:, 2, None]
+    nvec = _cross(e01, e02)
+    ez = nvec / norm(nvec)[:, None]
+    axes = np.stack([ex, _cross(ez, ex), ez], axis=1)
+    x2, y2, _ = (e02[:, None, :] * axes).sum(axis=2).T
+    return tris[:, 0], axes, np.vstack([length.T, x2, y2])[:, :, None]
+
+
+def _local_coordinates(rel, axes: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """Components rel (3, P, K) of p - corner 0 -> (u, v, h, d0, d1), (5, P, K).
+
+    (u, v, h) are p's coordinates in the frame and d_k the distance of
+    (u, v) from the line of side k, positive inside; d2 is v. All five are
+    affine in p, so they may be taken at an outer triangle's corners and
+    interpolated.
+    """
+    l0, l1, l2, x2, y2 = dims
+    out = np.empty((5, *np.broadcast_shapes(rel[0].shape, l0.shape)))
+    for c, axis in enumerate(axes.transpose(1, 2, 0)[..., None]):
+        np.multiply(rel[0], axis[0], out=out[c])
+        out[c] += rel[1] * axis[1]
+        out[c] += rel[2] * axis[2]
+    u, v = out[0], out[1]
+    out[3] = ((l2 - u) * y2 + (x2 - l2) * v) / l0
+    out[4] = (y2 * u - x2 * v) / l1
     return out
+
+
+def _potential_local(local: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """Closed-form potential at points in their triangle's frame: (5, P, K) -> (P, K).
+
+    ``local`` holds :func:`_local_coordinates` (u, v, h, d0, d1) and ``dims``
+    the frame's (5, P, 1) table. With R_k the distance from corner k, side
+    k contributes d_k ln((R_k1 + R_k2 + l_k) / (R_k1 + R_k2 - l_k)), and the
+    solid angle omega that the triangle subtends at the point contributes
+    -h omega. The triple product of the corner vectors in omega (van
+    Oosterom-Strackee) is exactly 2 A h, A the area, so the sign of h alone
+    carries the mirror symmetry across the plane.
+    Every operation is elementwise, so a point's value does not depend on
+    the points or triangles passed with it. Triangles are not checked here:
+    a degenerate one gives non-finite values, so callers pass triangles that
+    PanelSystem or triangle_potentials has validated.
+    """
+    u, v, h, d0, d1 = local
+    l0, l1, l2, x2, y2 = dims
+    # The corner vectors: r_0 = (u, v, h), r_1 = (a1, v, h), r_2 = (a2, b2, h).
+    a1, a2, b2 = u - l2, u - x2, v - y2
+    h2 = h * h
+    q = v * v
+    q += h2
+    dist = [u * u, a1 * a1, a2 * a2]
+    dist[0] += q
+    dist[1] += q
+    tmp = b2 * b2
+    dist[2] += tmp
+    dist[2] += h2
+    for sq in dist:
+        np.sqrt(sq, out=sq)
+
+    # R_0 R_1 R_2 + (r_1 . r_2) R_0 + (r_2 . r_0) R_1 + (r_0 . r_1) R_2, where
+    # r_0 . r_1 = u a1 + q and the other two dots share w = v b2 + h^2.
+    q += u * a1
+    denom = np.multiply(dist[0], dist[1], out=tmp)
+    denom += q
+    denom *= dist[2]
+    w = np.multiply(v, b2, out=b2)
+    w += h2
+    for dot, other, r in ((a1, a2, dist[0]), (a2, u, dist[1])):
+        dot *= other
+        dot += w
+        dot *= r
+        denom += dot
+    # -h omega, the solid angle's factor 2 applied exactly with the sign.
+    total = np.arctan2(np.multiply(h, l2 * y2, out=h2), denom, out=denom)
+    total *= h
+    total *= -2.0
+
+    # Side k: the stable integral of 1/r along it. The log's denominator
+    # vanishes only for points on the side, where d_k vanishes as well.
+    s, term = a1, a2
+    for k, (d, ell) in enumerate(((d0, l0), (d1, l1), (v, l2))):
+        np.add(dist[(k + 1) % 3], dist[(k + 2) % 3], out=s)
+        np.add(s, ell, out=term)
+        s -= ell
+        np.maximum(s, 1e-300, out=s)
+        term /= s
+        np.log(term, out=term)
+        term *= d
+        total += term
+    return total
 
 
 def _potential_batch(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Batched closed-form potential: points (3, P, K), tris (P, 3, 3) -> (P, K).
 
-    Points are component-major, so every per-point temporary is a contiguous
-    (P, K) array; points (3, 1, K) are shared by all P triangles. Triangles
-    are not checked here: a degenerate one gives non-finite values, so
-    callers pass triangles that PanelSystem or triangle_potentials has
-    validated. n is the unit normal; for the edge e_k = v_k2 - v_k1 opposite
-    corner k, edge_normal is the unit in-plane edge normal n x e_k / |e_k|.
-    As r_k2 = r_k1 - e_k, the edge prefactor (r_k1 x r_k2) . n equals
-    r_k1 . (n x e_k). Squared norms are summed component by component, so a
-    triangle's terms do not depend on how many triangles are passed with it.
+    Points are component-major; points (3, 1, K) are shared by all P
+    triangles. Each triangle's points are moved into its frame.
     """
-    edges = tris[:, [2, 0, 1]] - tris[:, [1, 2, 0]]
-    nvec = _cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    n = nvec / np.sqrt(nvec[..., 0] ** 2 + nvec[..., 1] ** 2 + nvec[..., 2] ** 2)[:, None]
-    length = np.sqrt(edges[..., 0] ** 2 + edges[..., 1] ** 2 + edges[..., 2] ** 2)
-    edge_normal = _cross(n[:, None, :], edges) / length[:, :, None]
-    shape = np.broadcast_shapes(points.shape[1:], (len(tris), 1))
-    r = [[points[d] - tris[:, c, d, None] for d in range(3)] for c in range(3)]
-    tmp, s, num, pref = (np.empty(shape) for _ in range(4))
-    dist = [_dot3(rc, rc, np.empty(shape), tmp) for rc in r]
-    for sq in dist:
-        np.sqrt(sq, out=sq)
-
-    total = np.zeros(shape)
-    for k in range(3):
-        k1, k2 = (k + 1) % 3, (k + 2) % 3
-        ell = length[:, k, None]
-        # Stable edge integral of 1/r along the segment; the denominator
-        # vanishes only for points on the segment, where the prefactor
-        # (twice the projected area) vanishes as well.
-        np.add(dist[k1], dist[k2], out=s)
-        np.add(s, ell, out=num)
-        s -= ell
-        np.maximum(s, 1e-300, out=s)
-        num /= s
-        np.log(num, out=num)
-        num *= _dot3(r[k1], edge_normal[:, k].T[:, :, None], pref, tmp)
-        total += num
-
-    # Solid angle (van Oosterom-Strackee); explicit triple product keeps
-    # mirror symmetry across the triangle plane bitwise exact.
-    for a, b, cross in ((1, 2, s), (2, 0, num), (0, 1, pref)):
-        np.multiply(r[1][a], r[2][b], out=cross)
-        cross -= np.multiply(r[1][b], r[2][a], out=tmp)
-    stp = _dot3(r[0], (s, num, pref), s, tmp)
-    denom = np.multiply(dist[0], dist[1], out=pref)
-    denom *= dist[2]
-    for k in range(3):
-        k1, k2 = (k + 1) % 3, (k + 2) % 3
-        _dot3(r[k1], r[k2], num, tmp)
-        num *= dist[k]
-        denom += num
-    half_omega = np.arctan2(stp, denom, out=stp)
-
-    # h * omega, with the exact factor 2 of omega moved onto the normal.
-    two_h = _dot3(r[0], (2.0 * n).T[:, :, None], num, tmp)
-    two_h *= half_omega
-    total -= two_h
-    return total
+    origin, axes, dims = _frames(tris)
+    rel = [points[c] - origin[:, c, None] for c in range(3)]
+    return _potential_local(_local_coordinates(rel, axes, dims), dims)
 
 
 def triangle_potentials(points, corners) -> np.ndarray:
@@ -330,13 +382,15 @@ def _refined_entries(corners, areas, rows, srcs, perms, pts_bary, wts) -> np.nda
     the entry's place in a chunk or on the order of the pairs. Each kernel
     call takes a chunk of pairs with at most POINTS_PER_CALL outer points.
     """
+    origin, axes, dims = _frames(corners)
     out = np.empty(len(rows))
     chunk = max(1, POINTS_PER_CALL // len(wts))
     for s in range(0, len(rows), chunk):
-        r = rows[s : s + chunk]
+        r, src = rows[s : s + chunk], srcs[s : s + chunk]
         outer = corners[r] if perms is None else corners[r[:, None], perms[s : s + chunk]]
-        pts = outer.transpose(2, 0, 1) @ pts_bary.T
-        vals = _potential_batch(pts, corners[srcs[s : s + chunk]])
+        rel = (outer - origin[src, None, :]).transpose(2, 0, 1)
+        at_corners = _local_coordinates(rel, axes[src], dims[:, src])
+        vals = _potential_local(at_corners @ pts_bary.T, dims[:, src])
         vals *= wts
         out[s : s + chunk] = areas[r] * vals.sum(axis=1)
     return out / FOUR_PI

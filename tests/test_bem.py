@@ -134,6 +134,26 @@ class TestTrianglePotential:
         vals = varcap.triangle_potentials(pts, TRI)
         assert np.all(vals > 0)
 
+    def test_in_plane_points_match_oracle(self):
+        # Points on the source plane outside the triangle, on the lines of
+        # its sides beyond their ends and on the sides themselves, where h
+        # and d_k vanish, up to round-off on the tilted TRI. On a side,
+        # R_k1 + R_k2 - l_k vanishes too, and the max(., 1e-300) guard
+        # keeps its log finite.
+        for tri in (TRI, np.array([[0.0, 0.0, 0.0], [1.1, 0.2, 0.0], [0.3, 0.9, 0.0]])):
+            cent = tri.mean(axis=0)
+            points = [cent + 2.5 * (tri[k] - cent) for k in range(3)]
+            points += [cent - 1.5 * (tri[k] - cent) for k in range(3)]
+            for k in range(3):
+                a, b = tri[k], tri[(k + 1) % 3]
+                points += [b + t * (b - a) for t in (0.01, 0.5, 3.0)]
+                points += [a - t * (b - a) for t in (0.01, 0.5)]
+                points += [a + t * (b - a) for t in (0.0, 0.25, 0.5)]
+            values = varcap.triangle_potentials(np.array(points), tri)
+            for p, value in zip(points, values):
+                oracle = numeric_triangle_potential(p, tri)
+                assert value == pytest.approx(oracle, rel=1e-10), p
+
     def test_batched_kernel_matches_oracle_and_single_calls(self):
         # The near field calls the kernel with many source triangles at once,
         # each with its own points: its vertices, edge midpoints, centroid, a
@@ -393,6 +413,38 @@ class TestAssembly:
                 assert np.array_equal(entries(np.arange(len(rows)), pad, perms), base), pad
             assert np.array_equal(entries(np.arange(len(rows))[::-1], 0, perms), base)
 
+    @pytest.mark.parametrize("name", ["sphere2", "cube4", "aspect10"])
+    def test_refined_entries_match_3d_reference(self, solved, name):
+        # The refined classes interpolate the outer points' coordinates in
+        # the source frame from the outer corners'. A reference that builds
+        # the outer points in 3-D and calls triangle_potentials there must
+        # agree to round-off on a sample of each class: cube4's coplanar
+        # neighbours have h at round-off, and the aspect-10 panels meet as an
+        # edge pair (their short side), vertex pairs and near-ring pairs.
+        if name == "aspect10":
+            t = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.05, 1.0, 0.0]])
+            mirror = t[[1, 0, 2]] * [1, -1, 1]
+            tris = [t, mirror, -mirror, mirror + [0.0, 0.0, 0.2]]
+            panels = PanelSystem.from_triangles(np.stack(tris))
+        else:
+            panels = solved(name).panels
+        corners, areas = panels.corners, panels.areas
+        refined = bem._refined_pairs(corners, panels.centroids)
+        for case in ("edge", "vertex", "near"):
+            pts, wts = _rules()[case]
+            i, j, *perms = refined[case]
+            assert len(i) > 0, case
+            if perms:
+                rows, srcs, perm = np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate(perms)
+            else:
+                rows, srcs, perm = i, j, None
+            got = bem._refined_entries(corners, areas, rows, srcs, perm, pts, wts)
+            for k in np.random.default_rng(47).permutation(len(rows))[:150]:
+                outer = corners[rows[k]] if perm is None else corners[rows[k]][perm[k]]
+                inner = varcap.triangle_potentials(pts @ outer, corners[srcs[k]])
+                ref = areas[rows[k]] * float(wts @ inner) / FOUR_PI
+                assert got[k] == pytest.approx(ref, rel=1e-13, abs=0.0), (case, k)
+
     @staticmethod
     def _near_entries(panels, rows, srcs):
         # One direction of the near ring, as a lone _refined_entries call.
@@ -508,11 +560,11 @@ class TestAssembly:
         # entries are the same up to the weighted sums' round-off.
         panels = varcap.build_panels(varcap.make_icosphere(1.0, 2))
         nq = len(bem.FAR_RULE[2])
-        kernel, tile = bem._potential_batch, bem._far_tile
+        kernel, tile = bem._potential_local, bem._far_tile
         sizes, pairs = [], []
 
-        def counted(points, tris):
-            out = kernel(points, tris)
+        def counted(local, dims):
+            out = kernel(local, dims)
             sizes.append(out.size)
             return out
 
@@ -520,7 +572,7 @@ class TestAssembly:
             pairs.append((r1 - r0) * (c1 - c0) * len(weights) ** 2)
             tile(matrix, points, areas, weights, r0, r1, c0, c1, scratch)
 
-        monkeypatch.setattr(bem, "_potential_batch", counted)
+        monkeypatch.setattr(bem, "_potential_local", counted)
         monkeypatch.setattr(bem, "_far_tile", counted_tile)
         base = assemble(panels).matrix
         assert 0 < max(sizes) <= bem.POINTS_PER_CALL
