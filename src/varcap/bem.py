@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .errors import AssemblyError, DegenerateTriangleError
 from .geometry import PanelSystem, _checked_areas
@@ -96,8 +97,10 @@ NEAR_FACTOR = 2.0
 # 97 ms at 16k, 127 and 110 ms at 32k.
 POINTS_PER_CALL = 16_384
 
-# Far-field tiles of FAR_ROWS panel rows: sphere3's far field took 0.23,
-# 0.21, 0.24 and 0.32 s with 1, 2, 4 and 8. Mirroring in 32 kB squares of
+# Far-field tiles of FAR_ROWS panel rows: sphere3's far field took 0.14-0.17
+# s with 2, 0.14-0.18 with 4 or 8 and 0.15-0.18 with 1, cube8's 0.048-0.072
+# s with 2, 4 or 8 and 0.055-0.081 with 1 (medians of 9-11 interleaved
+# assemblies, three runs). Mirroring in 32 kB squares of
 # MIRROR_BLOCK rows copied sphere4's matrix in 77 ms, against 190-210 ms
 # row by column.
 FAR_ROWS = 2
@@ -400,20 +403,16 @@ def _far_tile(matrix, points, areas, weights, r0, r1, c0, c1, scratch):
     """Write the far entries (i, j), r0 <= i < r1, max(i + 1, c0) <= j < c1.
 
     Entry (i, j) is a_i a_j sum_pq w_p w_q / (4 pi |x_p - y_q|) over the
-    rule's points on panels i and j, taken from ``points`` (3, m nq);
-    ``scratch`` holds two tiles of doubles. Distances come from coordinate
-    differences, as |x|^2 + |y|^2 - 2 x.y cancels. Coincident points, as on
-    overlapping panels, give inf, which assemble rejects.
+    rule's points on panels i and j, taken from the rows of ``points``
+    (m nq, 3); ``scratch`` holds one tile of doubles. Coincident points, as
+    on overlapping panels, give inf, which assemble rejects. On one core of
+    a 2-core x86 VM a point pair costs 4.9-6.5 ns (sphere3, cube16, sphere4).
     """
     nq = len(weights)
-    x, y = points[:, r0 * nq : r1 * nq, None], points[:, None, c0 * nq : c1 * nq]
-    shape = (x.shape[1], y.shape[2])
-    d, t = (a[: shape[0] * shape[1]].reshape(shape) for a in scratch)
-    np.square(np.subtract(x[0], y[0], out=d), out=d)
-    for k in (1, 2):
-        d += np.square(np.subtract(x[k], y[k], out=t), out=t)
+    d = scratch[: (r1 - r0) * nq * (c1 - c0) * nq].reshape((r1 - r0) * nq, -1)
+    cdist(points[r0 * nq : r1 * nq], points[c0 * nq : c1 * nq], out=d)
     with np.errstate(divide="ignore"):
-        np.divide(1.0, np.sqrt(d, out=d), out=d)
+        np.divide(1.0, d, out=d)
     vals = (weights @ d.reshape(r1 - r0, nq, -1)).reshape(r1 - r0, c1 - c0, nq) @ weights
     vals *= areas[r0:r1, None] * areas[c0:c1]
     vals /= FOUR_PI
@@ -445,14 +444,14 @@ def assemble(panels: PanelSystem, workers: int = 1) -> GalerkinSystem:
     # workers-th tile from tile k; the calling thread is worker 0, as each
     # pool thread's malloc arena keeps its peak after the pool ends.
     start = time.perf_counter()
-    points = (corners.transpose(2, 0, 1) @ far_points.T).reshape(3, m * nq)
+    points = (far_points @ corners).reshape(m * nq, 3)
     run = max(1, POINTS_PER_CALL // (FAR_ROWS * nq))
     tiles = [(r0, c0) for r0 in range(0, m, FAR_ROWS) for c0 in range(r0, m, run)]
     matrix = np.empty((m, m))
     workers = max(1, min(int(workers), len(tiles)))
 
     def fill_share(k):
-        scratch = np.empty((2, FAR_ROWS * nq * run * nq))
+        scratch = np.empty(FAR_ROWS * nq * run * nq)
         for r0, c0 in tiles[k::workers]:
             r1, c1 = min(m, r0 + FAR_ROWS), min(m, c0 + run)
             _far_tile(matrix, points, areas, far_weights, r0, r1, c0, c1, scratch)

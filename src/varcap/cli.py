@@ -355,26 +355,18 @@ def cmd_verify_principle(args) -> int:
         raise VarcapError(f"{args.input}: missing 'matrix' or 'u'")
     form = varprinciple.SymmetricForm.from_matrix(payload["matrix"])
     report = varprinciple.verify_principle(form, payload["u"])
-    qfu = report.quadratic_form_at_u
-    holds = report.holds_on_probes
-    if report.classification == "nonneg":
-        consistent = holds
-    elif report.classification == "indefinite":
-        consistent = report.best_quotient > qfu
-    else:  # nonpos: the principle must fail (a zero form classifies as nonneg)
-        consistent = not holds
     out = {
         "schema": "principlereport/1",
         "classification": report.classification,
-        "quadratic_form_at_u": qfu,
+        "quadratic_form_at_u": report.quadratic_form_at_u,
         "best_quotient": report.best_quotient,
         "attained_at_u": report.attained_at_u,
-        "principle_holds_on_probes": holds,
-        "consistent": consistent,
+        "principle_holds_on_probes": report.holds_on_probes,
+        "consistent": report.consistent,
         "witness": _witness_payload(report.witness),
     }
     _emit(out, args.out, True)
-    return EXIT_OK if consistent else EXIT_PRINCIPLE
+    return EXIT_OK if report.consistent else EXIT_PRINCIPLE
 
 
 def _positive_int(text: str) -> int:

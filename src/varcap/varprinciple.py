@@ -128,6 +128,7 @@ class PrincipleReport:
     attained_at_u: bool
     witness: Optional[IndefinitenessWitness]
     holds_on_probes: bool  # no probe beat (Au, u) beyond round-off, and u attains it
+    consistent: bool  # the probes agree with the classification
 
 
 def _floats(x, name: str) -> np.ndarray:
@@ -160,8 +161,10 @@ def _quotients(matrix: np.ndarray, au: np.ndarray, vs: np.ndarray, scale: float)
     """(v.Au)^2 / (v.Av) for each row v of ``vs``, and which rows are degenerate.
 
     A row is degenerate, and its value 0, when |v.Av| <= DENOM_EPS scale |v|^2:
-    the paper's convention for (Av, v) = 0. Every quotient in varcap is
-    evaluated here.
+    the paper's convention for (Av, v) = 0. quotient, verify_principle,
+    find_witness and capacitance.rayleigh_bound evaluate their quotients
+    here; zeroth_capacitance (Q(1)), subspace_bound (the maximum over a
+    span, in closed form) and gauss_functional (1/Q) compute theirs apart.
     """
     denoms = np.einsum("ij,ij->i", vs, vs @ matrix)
     degenerate = np.abs(denoms) <= DENOM_EPS * scale * np.einsum("ij,ij->i", vs, vs)
@@ -284,5 +287,9 @@ def verify_principle(
     # The quotient scales with ||A|| |u|^2, and so does the slack.
     slack = 1e-12 * form.norm * float(u @ u)
     holds = best <= qfu * (1.0 + 1e-8) + slack and attained
+    # The principle must hold for nonneg forms (a zero form counts as one),
+    # the witness beat (Au, u) for indefinite ones, and the principle fail
+    # for nonpos ones.
     report_cls = "nonneg" if cls == "zero" else cls
-    return PrincipleReport(report_cls, qfu, best, attained, witness, holds)
+    consistent = {"nonneg": holds, "indefinite": best > qfu, "nonpos": not holds}[report_cls]
+    return PrincipleReport(report_cls, qfu, best, attained, witness, holds, consistent)

@@ -12,7 +12,7 @@ import varcap
 from varcap import PanelSystem, assemble, bem, spd_check, triangle_potential
 from varcap.bem import FOUR_PI, _rules
 from varcap.cli import EXIT_MESH, main
-from varcap.errors import DegenerateTriangleError
+from varcap.errors import AssemblyError, DegenerateTriangleError
 
 from oracles import (
     deep_panel_integral,
@@ -124,7 +124,7 @@ class TestTrianglePotential:
         p = TRI.mean(axis=0) + np.array([0.1, -0.2, 0.3])
         ref = triangle_potential(p, TRI)
         for s in (1e-8, 1e-20):
-            assert triangle_potential(s * p, s * TRI) == pytest.approx(s * ref, rel=1e-12)
+            assert triangle_potential(s * p, s * TRI) == pytest.approx(s * ref, rel=1e-12, abs=0.0)
         shift = np.array([1e7, -1e7, 0.0])
         assert triangle_potential(p + shift, TRI + shift) == pytest.approx(ref, rel=1e-8)
 
@@ -224,7 +224,7 @@ class TestAssembly:
         monkeypatch.setattr(bem, "FAR_RULE", DEEP_FAR_RULE)
         system = assemble(panels)
         oracle = four_dim_gauss_entry(tri_a, tri_b) / FOUR_PI
-        assert system.matrix[0, 1] == pytest.approx(oracle, rel=1e-10)
+        assert system.matrix[0, 1] == pytest.approx(oracle, rel=1e-10, abs=0.0)
 
     def test_singular_entries_match_double_integral_oracle(self):
         # Reference values from an adaptive outer integral of the (adaptive)
@@ -509,7 +509,7 @@ class TestAssembly:
                 for wq, yq in zip(weights, y):
                     total += wp * wq / math.dist(xp, yq)
             entry = areas[i] * areas[j] * total / FOUR_PI
-            assert matrix[i, j] == pytest.approx(entry, rel=1e-13), (i, j)
+            assert matrix[i, j] == pytest.approx(entry, rel=1e-13, abs=0.0), (i, j)
             inner = varcap.triangle_potentials(x, corners[j])
             analytic = areas[i] * float(weights @ inner) / FOUR_PI
             worst = max(worst, abs(matrix[i, j] / analytic - 1.0))
@@ -552,6 +552,19 @@ class TestAssembly:
             assert err["type"] == "DegenerateTriangleError"
             assert "duplicate panels 0 and 1" in err["message"]
             assert err["indices"] == [0, 1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_entry_rejected(self, monkeypatch, workers):
+        # With the finder patched to see no refined pairs, a duplicate pair
+        # reaches a far tile, whose coincident rule points give inf; the
+        # finiteness guard names the pair.
+        none = np.empty(0, dtype=int)
+        touching = (none, none, np.empty((0, 3), dtype=int), np.empty((0, 3), dtype=int))
+        refined = {"near": (none, none), "edge": touching, "vertex": touching}
+        monkeypatch.setattr(bem, "_refined_pairs", lambda *args: refined)
+        panels = PanelSystem.from_triangles(np.stack([TRI, TRI[[1, 2, 0]], TRI + 5.0]))
+        with pytest.raises(AssemblyError, match=r"panel pair \(0, 1\)"):
+            assemble(panels, workers=workers)
 
     def test_kernel_calls_within_point_budget(self, monkeypatch):
         # Every kernel call of an assembly stays within POINTS_PER_CALL, and

@@ -162,6 +162,30 @@ class TestNecessity:
         assert report.best_quotient > float(u @ form.matrix @ u)
 
 
+class TestConsistency:
+    # A report is consistent when its probes agree with its classification:
+    # the principle holds for nonneg forms (a zero form counts as one), the
+    # witness beats (Au, u) for indefinite ones, and the principle fails for
+    # nonpos ones. At u = 0 every quotient is 0, which no witness beats and
+    # no nonpos form can fail.
+    @pytest.mark.parametrize(
+        "matrix, u, classification, consistent",
+        [
+            (np.diag([2.0, 0.5]), [1.0, -1.0], "nonneg", True),
+            (np.zeros((2, 2)), [1.0, -1.0], "nonneg", True),
+            (np.diag([2.0, -0.5]), [1.0, 1.0], "indefinite", True),
+            (np.diag([2.0, -0.5]), [0.0, 0.0], "indefinite", False),
+            (np.diag([-2.0, -0.5]), [1.0, 1.0], "nonpos", True),
+            (np.diag([-2.0, -0.5]), [0.0, 0.0], "nonpos", False),
+        ],
+        ids=["nonneg", "zero", "indefinite", "indefinite-at-0", "nonpos", "nonpos-at-0"],
+    )
+    def test_consistent_by_classification(self, matrix, u, classification, consistent):
+        report = verify_principle(SymmetricForm.from_matrix(matrix), u, seed=3)
+        assert report.classification == classification
+        assert report.consistent is consistent
+
+
 class TestWitnessSweep:
     def test_batch_picks_the_one_at_a_time_candidate(self):
         # find_witness evaluates its 2 * SWEEP_STEPS candidates as one batch;
