@@ -6,7 +6,8 @@ panel pairs. The far field applies one fixed rule, FAR_RULE (Dunavant's
 Methods, 2011, ch. 5). The diagonal has a closed form. Touching pairs
 (shared edge or vertex) and the near ring, found by one KD-tree query, use
 the closed-form potential of a uniformly charged triangle inside and a
-collapsed tensor Gauss rule, graded toward the shared feature, outside.
+collapsed tensor Gauss rule, graded toward the shared feature, outside;
+the near ring's farther pairs take a coarser rule than its closer ones.
 The potential is evaluated in the source triangle's own frame: a point's
 coordinates (u, v, h) there and its distances d_k from the sides' lines
 are affine in the point, so the outer rule's values are interpolated from
@@ -56,24 +57,33 @@ FOUR_PI = 4.0 * math.pi
 # than NEAR_FACTOR times the sum of the panel radii) use a tensor
 # Gauss-Legendre rule on the outer triangle, collapsed at one corner
 # (Duffy), with radial nodes s(sigma) graded toward the shared feature.
-# Edge and vertex pairs are evaluated in both directions and averaged, as
-# their two directions differ by the rule's error; a near-ring pair (i, j),
-# i < j, is evaluated once with panel i as the outer triangle and mirrored,
-# which moves C by at most 1.5e-12 relative on sphere3, cube8 and the 2:1:1
-# ellipsoid (per-entry asymmetry at most 1.6e-8 there).
+# The near ring is split by separation (Sauter & Schwab, sec. 5.3): pairs
+# closer than RING_FACTOR times the radii's sum form the "near" tier, the
+# rest the "ring" tier, whose 5x5 rule moves C by at most 7.0e-11 against
+# one 8x8 rule for the whole ring and 25 points in place of 64 leave the
+# ring 0.53-0.61 of the kernel evaluations (sphere1-4, cube4-16, 2:1:1
+# ellipsoids). Edge and vertex pairs are evaluated in both directions and
+# averaged, as their two directions differ by the rule's error; a near or
+# ring pair (i, j), i < j, is evaluated once with panel i as the outer
+# triangle and mirrored, which moves C by at most 5.7e-12 relative on
+# sphere1-4, cube2-16 and 2:1:1 and seeded ellipsoids. The closest pairs
+# set that effect: with the whole ring at 5x5 it reads 1.7e-9 on cube8.
 #
 #   class   collapsed at   s(sigma)           nodes  degree  max entry error
 #   far     symmetric      -                  6      4
 #   edge    corner 2       1 - (1 - sigma)^3  10x10  4       1.1e-7
 #   vertex  shared corner  sigma^2             8x8   6       5.7e-8
-#   near    corner 0       sigma               8x8   14
+#   near    corner 0       sigma               8x8   14      1.8e-8
+#   ring    corner 0       sigma               5x5   8       4.7e-8
 #
 # Entry errors are relative, against a deep hp-graded reference
 # (tests/test_bem.py), over edge pairs from flat to 90 degrees with aspect
-# ratios up to 5 and vertex pairs at least 15 degrees apart. Beyond that they
-# grow: aspect 10 about 1e-6, a 10-degree fold 6e-6, a 5-degree vertex gap
-# 2.6e-7. With every near rule at twice the nodes and NEAR_FACTOR 3, C moves
-# by at most 1.0e-8 on sphere1-3, cube2-8 and a 2:1:1 ellipsoid.
+# ratios up to 5 and vertex pairs at least 15 degrees apart; near and ring
+# errors against a 16x16 rule on sphere3, cube8-16 and 2:1:1 ellipsoids at
+# levels 2-3. Beyond that they grow: aspect 10 about 1e-6, a 10-degree fold
+# 6e-6, a 5-degree vertex gap 2.6e-7, a near pair of a 5:1:1 ellipsoid's
+# level-2 mesh 1.3e-5. With every near rule at twice the nodes and
+# NEAR_FACTOR 3, C moves by at most 2.1e-8 on sphere1 and 3.4e-9 on cube4.
 _W = np.repeat([0.223381589678011, 0.109951743655322], 3)
 FAR_RULE = (
     # (degree, barycentric points, weights)
@@ -87,8 +97,10 @@ NEAR_RULES = {
     "edge": (2, 10, lambda x: (1.0 - (1.0 - x) ** 3, 3.0 * (1.0 - x) ** 2)),
     "vertex": (0, 8, lambda x: (x * x, 2.0 * x)),
     "near": (0, 8, lambda x: (x, np.ones_like(x))),
+    "ring": (0, 5, lambda x: (x, np.ones_like(x))),
 }
 NEAR_FACTOR = 2.0
+RING_FACTOR = 1.4  # near-ring pairs this far apart take the "ring" rule
 
 # Evaluation points per _potential_local call. The kernel holds its 5
 # inputs and 10 temporaries of this many doubles, 2.0 MB at 16k, about one
@@ -302,10 +314,10 @@ def _self_integrals(corners: np.ndarray, areas: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassStats:
-    """Assembly work of one entry class: far, self, edge, vertex or near."""
+    """Assembly work of one entry class: far, self, edge, vertex, near or ring."""
 
     entries: int
-    points: int      # kernel evaluations per entry: 6 x 6 for far, 0 for self
+    points: int      # per entry: 36 far, 0 self, 100 edge, 64 vertex and near, 25 ring
     seconds: float
 
 
@@ -314,10 +326,11 @@ class GalerkinSystem:
     """Dense symmetric Galerkin matrix with panel areas and diagnostics.
 
     ``assembly`` maps each entry class to its work. Assembly writes the
-    upper triangle and mirrors it once. The far field and the near ring
-    compute each pair (i, j), i < j, once, so their entries count pairs;
-    the edge and vertex classes compute both directions of each pair and
-    count both. Edge, vertex and near entries overwrite the far field's.
+    upper triangle and mirrors it once. The far field and the near ring's
+    two tiers, near and ring, compute each pair (i, j), i < j, once, so
+    their entries count pairs; the edge and vertex classes compute both
+    directions of each pair and count both. Edge, vertex, near and ring
+    entries overwrite the far field's.
     ``asymmetry_norm`` is the largest difference between the two
     directions of an edge or vertex pair, whose mean ``(M_ij + M_ji) / 2``
     is the entry; every other entry has one value.
@@ -341,29 +354,35 @@ def _refined_pairs(corners: np.ndarray, centroids: np.ndarray) -> dict:
     One KD-tree query finds the pairs whose centroids are closer than
     NEAR_FACTOR (r_i + r_j), r a panel's largest centroid-to-corner
     distance, which include every pair sharing a corner. Many cube pairs sit
-    exactly on the cut-off, so it carries a relative slack of 1e-9: otherwise
-    rounding decides their side on a translated or scaled copy. Corners
-    match by value (exact for panels built from one mesh vertex array); two
-    shared make an "edge" pair, one a "vertex" pair, none a "near" one, and
-    three a duplicate panel, which raises DegenerateTriangleError. "edge" and
-    "vertex" give (i, j, perm_i, perm_j), each perm rotating its panel's
-    corners so the shared vertex comes first or the unshared corner last;
-    "near" gives (i, j).
+    exactly on the cut-off, so it and the RING_FACTOR cut carry a relative
+    slack of 1e-9: otherwise rounding decides their side on a translated or
+    scaled copy. Corners match by value (exact for panels built from one
+    mesh vertex array); two shared make an "edge" pair, one a "vertex" pair,
+    none a "near" one below RING_FACTOR (r_i + r_j) or a "ring" one beyond,
+    and three a duplicate panel, which raises DegenerateTriangleError.
+    "edge" and "vertex" give (i, j, perm_i, perm_j), each perm rotating its
+    panel's corners so the shared vertex comes first or the unshared corner
+    last; "near" and "ring" give (i, j).
     """
     m = len(corners)
-    cut = NEAR_FACTOR * (1.0 + 1e-9)
+    slack = 1.0 + 1e-9
+    cut = NEAR_FACTOR * slack
     radii = np.max(np.linalg.norm(corners - centroids[:, None, :], axis=2), axis=1)
     pairs = cKDTree(centroids).query_pairs(cut * 2.0 * float(radii.max()), output_type="ndarray")
     diff = centroids[pairs[:, 0]] - centroids[pairs[:, 1]]
     dist = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
-    i, j = pairs[dist < cut * (radii[pairs[:, 0]] + radii[pairs[:, 1]])].T
+    span = radii[pairs[:, 0]] + radii[pairs[:, 1]]
+    keep = dist < cut * span
+    i, j = pairs[keep].T
+    close = dist[keep] < RING_FACTOR * slack * span[keep]
     ids = np.unique(corners.reshape(-1, 3), axis=0, return_inverse=True)[1].reshape(m, 3)
     on = ids[i][:, :, None] == ids[j][:, None, :]
     count = on.sum(axis=(1, 2))
     if np.any(count == 3):
         k = np.argmax(count == 3)
         raise DegenerateTriangleError([int(i[k]), int(j[k])], f"duplicate panels {i[k]} and {j[k]}")
-    classes = {"near": (i[count == 0], j[count == 0])}
+    near, ring = (count == 0) & close, (count == 0) & ~close
+    classes = {"near": (i[near], j[near]), "ring": (i[ring], j[ring])}
     for name, edge in (("edge", True), ("vertex", False)):
         sel = count == (2 if edge else 1)
         both = on[sel]
@@ -467,11 +486,11 @@ def assemble(panels: PanelSystem, workers: int = 1) -> GalerkinSystem:
     matrix[diag, diag] = _self_integrals(corners, areas) / FOUR_PI
     stats["self"] = ClassStats(m, 0, time.perf_counter() - start)
 
-    # Refined pairs overwrite the far field's (i, j), i < j. A near-ring
+    # Refined pairs overwrite the far field's (i, j), i < j. A near or ring
     # pair takes one direction, panel i outer; an edge or vertex pair the
     # mean of both, whose difference is asymmetry_norm.
     asym = 0.0
-    for case in ("edge", "vertex", "near"):
+    for case in ("edge", "vertex", "near", "ring"):
         start = time.perf_counter()
         pts, wts = rules[case]
         i, j, *perms = refined[case]

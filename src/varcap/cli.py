@@ -145,7 +145,7 @@ def _solve_pipeline(mesh, workers):
 def _solve_report(args, mesh, panels, system, solution, ledger, timings) -> dict:
     lo, hi = mesh.bbox
     return {
-        "schema": "capreport/5",
+        "schema": "capreport/6",
         "config": {
             "command": "solve",
             "mesh": getattr(args, "mesh", None),
@@ -238,14 +238,19 @@ def cmd_solve(args) -> int:
 def richardson_extrapolate(values: list[float]) -> dict:
     """Extrapolated limit and empirical order from 3+ refinement values.
 
-    Assumes a refinement ratio of 2 between consecutive levels.
+    Assumes a refinement ratio of 2 between consecutive levels. The last
+    three values must converge: their differences must shrink, so that
+    (y1 - y2) / (y2 - y3) exceeds 1 and the order is positive.
     """
     if len(values) < 3:
         raise VarcapError("Richardson extrapolation needs at least 3 levels")
     y1, y2, y3 = values[-3:]
-    ratio = (y1 - y2) / (y2 - y3)
-    if ratio <= 0:
-        raise VarcapError("non-monotone refinement sequence; cannot extrapolate")
+    ratio = (y1 - y2) / (y2 - y3) if y2 != y3 else math.inf
+    if not 1.0 < ratio < math.inf:
+        raise VarcapError(
+            f"cannot extrapolate: the last three values' ratio (y1 - y2) / (y2 - y3) "
+            f"= {ratio:.6g} must be finite and exceed 1"
+        )
     order = math.log2(ratio)
     factor = 2.0**order - 1.0
     pair_estimates = [

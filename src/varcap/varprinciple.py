@@ -106,6 +106,11 @@ class IndefinitenessWitness:
     z and w are unit eigenvectors with (Az, z) = a > 0 and (Aw, w) = c < 0;
     lambda1 < 0 < lambda2 are the roots of q(l) = a l^2 + 2 b l + c, and
     v_star = lambda_star * z + w realizes ``quotient`` just outside a root.
+    The sweep stops about 1e-12 ||A|| |v|^2 from the pole, so ``quotient``
+    carries 3-4 significant digits: over 200 seeded forms it deviates by up
+    to 4.1e-4 relative from (lambda alpha + beta)^2 / (a (lambda - lambda1)
+    (lambda - lambda2)), alpha and beta the components of Au along z and w.
+    It only has to exceed (Au, u).
     """
 
     z: np.ndarray

@@ -23,7 +23,8 @@ from oracles import (
 TRI = np.array([[0.1, -0.2, 0.05], [1.3, 0.4, -0.1], [0.2, 1.1, 0.3]])
 
 # A deeper far rule for references: the ungraded collapsed 5 x 5 Gauss rule,
-# 25 points, exact to degree 8 (as the near ring's rule at 8 x 8 is to 14).
+# 25 points, exact to degree 8, as the ring tier's rule is (the near tier's
+# at 8 x 8 is exact to 14).
 DEEP_FAR_RULE = (8, *bem._duffy_rule(0, 5, lambda x: (x, np.ones_like(x))))
 
 
@@ -56,11 +57,14 @@ class TestQuadratureRules:
                 got = rule_monomial(points, weights, a, b)
                 assert got == pytest.approx(exact, rel=1e-13, abs=1e-16), (a, b)
 
-    @pytest.mark.parametrize("case, degree", [("edge", 4), ("vertex", 6), ("near", 14)])
+    @pytest.mark.parametrize(
+        "case, degree", [("edge", 4), ("vertex", 6), ("near", 14), ("ring", 8)]
+    )
     def test_near_field_rules_exact_to_degree(self, case, degree):
         # A Duffy-collapsed n x n Gauss rule with s = sigma^p (or 1 - (1 -
         # sigma)^p) integrates degree d exactly while p (d + 1) + p - 1 <=
-        # 2n - 1: edge p = 3, n = 10; vertex p = 2, n = 8; near p = 1, n = 8.
+        # 2n - 1: edge p = 3, n = 10; vertex p = 2, n = 8; near p = 1, n = 8;
+        # ring p = 1, n = 5.
         points, weights = _rules()[case]
         assert np.all(weights > 0)
         assert abs(weights.sum() - 1.0) <= 1e-15
@@ -241,11 +245,12 @@ class TestAssembly:
 
     def test_near_field_rules_meet_quadrature_budget(self, solved, monkeypatch):
         # The near-field rules are sized to a quadrature budget of
-        # |dC/C| <= 1e-7. Refining every class at once, edge and vertex rules
-        # at twice the nodes per direction and a 16x16 near ring out to
-        # NEAR_FACTOR 3 (the diagonal is exact), must not move C beyond it.
-        # Measured: 1.0e-8 on sphere1, 1.2e-9 on cube4; the recursively
-        # graded rules these replaced read 2.5e-7 and 2.0e-7.
+        # |dC/C| <= 1e-7. Refining every class at once, every rule at twice
+        # the nodes per direction (16x16 near tier, 10x10 ring tier) and the
+        # ring out to NEAR_FACTOR 3 (the diagonal is exact), must not move C
+        # beyond it. Measured: 2.1e-8 on sphere1, 3.4e-9 on cube4, as with
+        # one 8x8 rule for the whole ring; the recursively graded rules these
+        # replaced read 2.5e-7 and 2.0e-7.
         before = {name: solved(name).solution.capacitance for name in ("sphere1", "cube4")}
         deeper = {
             name: (corner, 2 * nodes, grade)
@@ -320,7 +325,8 @@ class TestAssembly:
 
     def test_touching_pairs_match_loop_reference(self):
         # Every ordered pair of distinct panels, compared corner by corner,
-        # and every pair (i, j), i < j, that shares none, by the centroid rule.
+        # and every pair (i, j), i < j, that shares none, by the centroid rule
+        # and split into the near and ring tiers at RING_FACTOR.
         for mesh in (
             varcap.make_icosphere(1.0, 1),
             varcap.make_cube(1.0, 2),
@@ -330,18 +336,20 @@ class TestAssembly:
             corners, centroids = panels.corners, panels.centroids
             m = len(corners)
             radii = np.linalg.norm(corners - centroids[:, None, :], axis=2).max(axis=1)
-            expected, near = {}, set()
+            expected, tiers = {}, {"near": set(), "ring": set()}
             for i in range(m):
                 # on[j][a]: corner a of panel i is one of panel j's corners.
                 on = (corners[i][:, None, None, :] == corners[None]).all(axis=3).any(axis=2)
                 dist = np.linalg.norm(centroids - centroids[i], axis=1)
                 close = dist < bem.NEAR_FACTOR * (1.0 + 1e-9) * (radii[i] + radii)
-                for j, (corner_on, is_close) in enumerate(zip(on.T.tolist(), close.tolist())):
+                inner = dist < bem.RING_FACTOR * (1.0 + 1e-9) * (radii[i] + radii)
+                rows = zip(on.T.tolist(), close.tolist(), inner.tolist())
+                for j, (corner_on, is_close, is_inner) in enumerate(rows):
                     shared = [a for a in range(3) if corner_on[a]]
                     if i != j and shared:
                         expected[(i, j)] = shared
                     elif i < j and not shared and is_close:
-                        near.add((i, j))
+                        tiers["near" if is_inner else "ring"].add((i, j))
             pairs = bem._refined_pairs(corners, centroids)
             got = {}
             for case in ("edge", "vertex"):
@@ -352,19 +360,22 @@ class TestAssembly:
                         assert key not in got
                         got[key] = sorted(perm[:2] if case == "edge" else perm[:1])
             assert got == expected
-            assert set(zip(*pairs["near"])) == near and len(pairs["near"][0]) == len(near)
+            for tier, want in tiers.items():
+                assert len(want) > 0, tier
+                assert set(zip(*pairs[tier])) == want and len(pairs[tier][0]) == len(want), tier
 
     def test_near_ring_invariant_under_translation_and_scaling(self):
-        # Many cube pairs sit exactly on the near-ring cut-off; rounding must
-        # not move them across it when the cube is translated or scaled.
+        # Many cube pairs sit exactly on the NEAR_FACTOR cut-off; rounding
+        # must move no pair across it or the RING_FACTOR cut between the
+        # tiers when the cube is translated or scaled.
         def ring(mesh):
             panels = varcap.build_panels(mesh)
-            i, j = bem._refined_pairs(panels.corners, panels.centroids)["near"]
-            return set(zip(i.tolist(), j.tolist()))
+            pairs = bem._refined_pairs(panels.corners, panels.centroids)
+            return {tier: set(zip(*(k.tolist() for k in pairs[tier]))) for tier in ("near", "ring")}
 
         cube = varcap.make_cube(1.0, 4)
         base = ring(cube)
-        assert len(base) > 0
+        assert all(len(tier) > 0 for tier in base.values())
         assert ring(cube.transformed(lambda v: v + [0.1, 0.2, 0.3])) == base
         for s in (3.0, 0.7):
             assert ring(cube.scaled(s)) == base, s
@@ -420,17 +431,18 @@ class TestAssembly:
         # the outer points in 3-D and calls triangle_potentials there must
         # agree to round-off on a sample of each class: cube4's coplanar
         # neighbours have h at round-off, and the aspect-10 panels meet as an
-        # edge pair (their short side), vertex pairs and near-ring pairs.
+        # edge pair (their short side), vertex pairs and near-tier pairs; a
+        # fifth, lifted by 2.2, is a ring-tier pair with each of the others.
         if name == "aspect10":
             t = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.05, 1.0, 0.0]])
             mirror = t[[1, 0, 2]] * [1, -1, 1]
-            tris = [t, mirror, -mirror, mirror + [0.0, 0.0, 0.2]]
+            tris = [t, mirror, -mirror, mirror + [0.0, 0.0, 0.2], t + [0.0, 0.0, 2.2]]
             panels = PanelSystem.from_triangles(np.stack(tris))
         else:
             panels = solved(name).panels
         corners, areas = panels.corners, panels.areas
         refined = bem._refined_pairs(corners, panels.centroids)
-        for case in ("edge", "vertex", "near"):
+        for case in ("edge", "vertex", "near", "ring"):
             pts, wts = _rules()[case]
             i, j, *perms = refined[case]
             assert len(i) > 0, case
@@ -446,38 +458,41 @@ class TestAssembly:
                 assert got[k] == pytest.approx(ref, rel=1e-13, abs=0.0), (case, k)
 
     @staticmethod
-    def _near_entries(panels, rows, srcs):
-        # One direction of the near ring, as a lone _refined_entries call.
-        pts, wts = _rules()["near"]
+    def _tier_entries(panels, tier, rows, srcs):
+        # One direction of a near-ring tier, as a lone _refined_entries call
+        # with the tier's own rule.
+        pts, wts = _rules()[tier]
         return bem._refined_entries(panels.corners, panels.areas, rows, srcs, None, pts, wts)
-
-    @staticmethod
-    def _near_pairs(panels):
-        return bem._refined_pairs(panels.corners, panels.centroids)["near"]
 
     @pytest.mark.parametrize("name", ["sphere2", "ellipsoid"])
     def test_near_ring_evaluated_once_and_mirrored(self, solved, name):
         # Pair (i, j), i < j, is evaluated with panel i as the outer
-        # triangle and copied to (j, i); the class counts pairs.
+        # triangle and copied to (j, i); each tier's class counts pairs.
         sm = solved(name)
-        i, j = self._near_pairs(sm.panels)
-        assert len(i) > 0 and np.all(i < j)
-        assert sm.system.assembly["near"].entries == len(i)
         matrix = sm.system.matrix
-        assert np.array_equal(matrix[i, j], matrix[j, i])
-        assert np.array_equal(matrix[i, j], self._near_entries(sm.panels, i, j))
+        pairs = bem._refined_pairs(sm.panels.corners, sm.panels.centroids)
+        for tier in ("near", "ring"):
+            i, j = pairs[tier]
+            assert len(i) > 0 and np.all(i < j), tier
+            assert sm.system.assembly[tier].entries == len(i), tier
+            assert np.array_equal(matrix[i, j], matrix[j, i]), tier
+            assert np.array_equal(matrix[i, j], self._tier_entries(sm.panels, tier, i, j)), tier
 
     @pytest.mark.parametrize("name", ["cube8", "ellipsoid"])
     def test_near_ring_one_direction_keeps_capacitance(self, solved, name):
-        # Averaging both directions of every near-ring pair, as assembly
-        # once did, moves C by at most 1e-11 relative. Measured: 1.5e-12 on
-        # cube8, 9.4e-13 on the ellipsoid; the largest per-entry difference
-        # between the directions is 1.9e-9 and 1.6e-8 relative.
+        # Averaging both directions of every near-ring pair, each tier with
+        # its own rule, as assembly once did, moves C by at most 1e-11
+        # relative. Measured: 3.8e-12 on cube8, 3.0e-12 on the ellipsoid; the
+        # largest per-entry difference between the directions is 1.9e-9
+        # (near) and 1.3e-8 (ring) relative on cube8, 1.6e-8 and 4.7e-8 on
+        # the ellipsoid.
         sm = solved(name)
-        i, j = self._near_pairs(sm.panels)
-        mean = 0.5 * (self._near_entries(sm.panels, i, j) + self._near_entries(sm.panels, j, i))
         matrix = sm.system.matrix.copy()
-        matrix[i, j] = matrix[j, i] = mean
+        pairs = bem._refined_pairs(sm.panels.corners, sm.panels.centroids)
+        for tier in ("near", "ring"):
+            i, j = pairs[tier]
+            forward, backward = (self._tier_entries(sm.panels, tier, *ij) for ij in ((i, j), (j, i)))
+            matrix[i, j] = matrix[j, i] = 0.5 * (forward + backward)
         averaged = varcap.GalerkinSystem(
             matrix, sm.system.areas, sm.system.total_area, 0.0, sm.system.centroids
         )
@@ -560,7 +575,7 @@ class TestAssembly:
         # finiteness guard names the pair.
         none = np.empty(0, dtype=int)
         touching = (none, none, np.empty((0, 3), dtype=int), np.empty((0, 3), dtype=int))
-        refined = {"near": (none, none), "edge": touching, "vertex": touching}
+        refined = {"near": (none, none), "ring": (none, none), "edge": touching, "vertex": touching}
         monkeypatch.setattr(bem, "_refined_pairs", lambda *args: refined)
         panels = PanelSystem.from_triangles(np.stack([TRI, TRI[[1, 2, 0]], TRI + 5.0]))
         with pytest.raises(AssemblyError, match=r"panel pair \(0, 1\)"):

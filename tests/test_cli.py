@@ -134,7 +134,7 @@ class TestSolve:
         )
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["schema"] == "capreport/5"
+        assert report["schema"] == "capreport/6"
         assert report["config"]["quad_order"] == 4
         assert report["config"]["solver"] == "direct"
         assert "seed" not in report["config"]
@@ -149,8 +149,10 @@ class TestSolve:
         assert assembly["self"] == {"entries": 80, "points_per_entry": 0}
         assert assembly["edge"] == {"entries": 240, "points_per_entry": 100}
         assert assembly["vertex"]["points_per_entry"] == 64
-        # Near-ring pairs are evaluated once and mirrored: 1,350 pairs.
-        assert assembly["near"] == {"entries": 1350, "points_per_entry": 64}
+        # Near-ring pairs are evaluated once and mirrored: 1,350 pairs, the
+        # closer 420 with the near tier's 8 x 8 rule and 930 with 5 x 5.
+        assert assembly["near"] == {"entries": 420, "points_per_entry": 64}
+        assert assembly["ring"] == {"entries": 930, "points_per_entry": 25}
         for name in assembly:
             assert report["timings"][f"assemble_{name}_s"] >= 0.0
         # J comes from the bound ledger's zeroth approximation, bitwise equal
@@ -475,3 +477,13 @@ class TestRichardson:
     def test_non_monotone_rejected(self):
         with pytest.raises(VarcapError):
             richardson_extrapolate([1.0, 2.0, 1.5, 2.5])
+
+    @pytest.mark.parametrize(
+        "values, ratio",
+        [([1.0, 2.0, 2.0], "inf"), ([1.0, 2.0, 3.0], "1"), ([1.0, 1.5, 2.25], "0.666667")],
+    )
+    def test_differences_must_shrink(self, values, ratio):
+        # Equal or growing differences have no limit: no division by zero,
+        # and no negative order with a meaningless limit.
+        with pytest.raises(VarcapError, match=rf"= {ratio} must"):
+            richardson_extrapolate(values)
