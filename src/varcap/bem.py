@@ -32,7 +32,12 @@ import scipy.linalg
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import AssemblyError, DegenerateTriangleError
+from .errors import (
+    AssemblyError,
+    DegenerateTriangleError,
+    DimensionMismatchError,
+    NonFiniteInputError,
+)
 from .geometry import PanelSystem, _checked_areas
 
 __all__ = [
@@ -251,18 +256,28 @@ def triangle_potentials(points, corners) -> np.ndarray:
     """Closed-form integral of 1/|x - s| over a planar triangle, unit density.
 
     Evaluates at many points at once; finite for all evaluation points,
-    including points on the triangle (edge and vertex limits). Raises
-    DegenerateTriangleError for a degenerate triangle.
+    including points on the triangle (edge and vertex limits). ``points`` is
+    (n, 3) or one point (3,), ``corners`` (3, 3). Raises
+    DimensionMismatchError for other shapes, NonFiniteInputError for a NaN
+    or infinite value and DegenerateTriangleError for a degenerate triangle.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    v = np.asarray(corners, dtype=np.float64).reshape(1, 3, 3)
+    v = np.asarray(corners, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3 or v.shape != (3, 3):
+        raise DimensionMismatchError(
+            f"points must be (n, 3) or (3,) and corners (3, 3), got "
+            f"{np.shape(points)} and {v.shape}"
+        )
+    if not (np.isfinite(pts).all() and np.isfinite(v).all()):
+        raise NonFiniteInputError("points or corners contain non-finite values")
+    v = v[None]
     _checked_areas(v)
     return _potential_batch(np.ascontiguousarray(pts.T)[:, None, :], v)[0]
 
 
 def triangle_potential(point, corners) -> float:
     """Scalar wrapper around :func:`triangle_potentials`."""
-    return float(triangle_potentials(np.asarray(point, dtype=np.float64)[None, :], corners)[0])
+    return float(triangle_potentials(np.reshape(point, (1, -1)), corners)[0])
 
 
 # ---------------------------------------------------------------------------

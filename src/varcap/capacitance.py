@@ -195,7 +195,7 @@ def rayleigh_bound(system: GalerkinSystem, v) -> QuotientValue:
 
 
 def gauss_functional(system: GalerkinSystem, v) -> float:
-    """Energy per squared total charge, (v^T A_h v) / (b^T v)^2 >= 1/C."""
+    """Energy per squared total charge, (v^T A_h v) / (b^T v)^2 >= 1/C_h."""
     v = _vector(v, system.n, "v")
     q = float(system.areas @ v)
     if abs(q) <= 1e-13 * float(np.linalg.norm(system.areas)) * float(np.linalg.norm(v)):

@@ -71,54 +71,54 @@ def _emit(payload: dict, out_path, as_json: bool, text: str | None = None) -> No
         print(text)
 
 
-def _ellipsoid(semiaxes: str, subdivisions: int) -> geometry.SurfaceMesh:
-    try:
-        a, b, c = (float(x) for x in semiaxes.split(","))
-    except ValueError as exc:
-        raise VarcapError(f"bad --semiaxes {semiaxes!r}, expected a,b,c") from exc
-    return geometry.make_ellipsoid(a, b, c, subdivisions)
-
-
-# Each built-in shape: its generator, its size option, its level option and
-# the level after n that halves the mesh width.
+# Each built-in shape: its generator, how many --size values it takes (the
+# icosphere's radius, the cube's side, the ellipsoid's semiaxes), its default
+# level (subdivisions, or the cube's panels per edge) and the level after n
+# that halves the mesh width.
 SHAPES = {
-    "icosphere": (geometry.make_icosphere, "radius", "subdiv", lambda n: n + 1),
-    "cube": (geometry.make_cube, "side", "panels_per_edge", lambda n: 2 * n),
-    "ellipsoid": (_ellipsoid, "semiaxes", "subdiv", lambda n: n + 1),
+    "icosphere": (geometry.make_icosphere, 1, 3, lambda n: n + 1),
+    "cube": (geometry.make_cube, 1, 4, lambda n: 2 * n),
+    "ellipsoid": (geometry.make_ellipsoid, 3, 3, lambda n: n + 1),
 }
 
 
-def _add_shape_args(parser: argparse.ArgumentParser) -> None:
+def _add_shape_args(parser: argparse.ArgumentParser, subdiv: bool = True) -> None:
     parser.add_argument("--shape", choices=list(SHAPES))
-    parser.add_argument("--radius", type=float, default=1.0)
-    parser.add_argument("--side", type=float, default=1.0)
     parser.add_argument(
-        "--semiaxes", type=str, default="1,1,1", help="ellipsoid a,b,c"
+        "--size", nargs="+", type=float, help="radius, cube side or semiaxes a b c (default 1)"
     )
-    parser.add_argument("--subdiv", type=int, default=3)
-    parser.add_argument("--panels-per-edge", type=int, default=4)
-
-
-def _build_shape(args, level: int | None = None) -> geometry.SurfaceMesh:
-    if not args.shape:
-        raise VarcapError("no mesh source: pass --shape or --mesh")
-    make, size, level_option, _ = SHAPES[args.shape]
-    return make(getattr(args, size), getattr(args, level_option) if level is None else level)
-
-
-def _mesh_source(args) -> geometry.SurfaceMesh:
-    if getattr(args, "mesh", None):
-        if args.shape:
-            raise VarcapError("pass exactly one of --mesh and --shape")
-        return geometry.load_mesh(args.mesh)
-    return _build_shape(args)
+    if subdiv:
+        parser.add_argument(
+            "--subdiv", type=int, help="subdivisions, or cube panels per edge (default 3, cube 4)"
+        )
 
 
 def _shape_config(args) -> dict:
+    """The built-in shape's name, size and, where the command has it, level."""
     if not args.shape:
-        return {"shape": None}
-    _, size, level, _ = SHAPES[args.shape]
-    return {"shape": args.shape, size: getattr(args, size), level: getattr(args, level)}
+        raise VarcapError("no mesh source: pass --shape (or, for solve, --mesh)")
+    _, count, default_level, _ = SHAPES[args.shape]
+    size = args.size or [1.0] * count
+    if len(size) != count:
+        raise VarcapError(f"--shape {args.shape} takes {count} --size value(s), got {len(size)}")
+    config = {"shape": args.shape, "size": size}
+    if "subdiv" in args:
+        config["subdiv"] = default_level if args.subdiv is None else args.subdiv
+    return config
+
+
+def _build_shape(config: dict, level: int) -> geometry.SurfaceMesh:
+    return SHAPES[config["shape"]][0](*config["size"], level)
+
+
+def _mesh_source(args) -> tuple[geometry.SurfaceMesh, dict]:
+    """The mesh to solve and the config entries that name it."""
+    if args.mesh:
+        if args.shape or args.size or args.subdiv is not None:
+            raise VarcapError("--mesh takes no --shape, --size or --subdiv")
+        return geometry.load_mesh(args.mesh), {"mesh": args.mesh, "shape": None}
+    config = _shape_config(args)
+    return _build_shape(config, config["subdiv"]), {"mesh": None, **config}
 
 
 def _solve_pipeline(mesh, workers):
@@ -142,14 +142,13 @@ def _solve_pipeline(mesh, workers):
     return panels, system, solution, ledger, timings
 
 
-def _solve_report(args, mesh, panels, system, solution, ledger, timings) -> dict:
+def _solve_report(config, mesh, panels, system, solution, ledger, timings) -> dict:
     lo, hi = mesh.bbox
     return {
-        "schema": "capreport/6",
+        "schema": "capreport/7",
         "config": {
             "command": "solve",
-            "mesh": getattr(args, "mesh", None),
-            **_shape_config(args),
+            **config,
             "quad_order": bem.FAR_RULE[0],
             "solver": "direct",
         },
@@ -207,9 +206,8 @@ def _solve_text(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    if not args.shape:
-        raise VarcapError("generate requires --shape")
-    mesh = _build_shape(args)
+    config = _shape_config(args)
+    mesh = _build_shape(config, config["subdiv"])
     fmt = "obj" if args.out.lower().endswith(".obj") else "stl"
     (geometry.save_obj if fmt == "obj" else geometry.save_stl)(mesh, args.out)
     print(
@@ -228,9 +226,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    mesh = _mesh_source(args)
+    mesh, config = _mesh_source(args)
     panels, system, solution, ledger, timings = _solve_pipeline(mesh, args.workers)
-    report = _solve_report(args, mesh, panels, system, solution, ledger, timings)
+    report = _solve_report(config, mesh, panels, system, solution, ledger, timings)
     _emit(report, args.out, args.json, _solve_text(report))
     return EXIT_OK
 
@@ -265,8 +263,7 @@ def richardson_extrapolate(values: list[float]) -> dict:
 
 
 def cmd_converge(args) -> int:
-    if not args.shape:
-        raise VarcapError("converge requires a built-in --shape")
+    config = _shape_config(args)
     try:
         levels = [int(x) for x in args.levels.split(",")]
     except ValueError as exc:
@@ -280,10 +277,10 @@ def cmd_converge(args) -> int:
             f"{levels[0]},{refine(levels[0])} does: Richardson extrapolation "
             "assumes a refinement ratio of 2"
         )
-    # convreport/2 carries C and C0 per level, so no SPD check or bound ledger.
+    # convreport/3 carries C and C0 per level, so no SPD check or bound ledger.
     rows = []
     for level in levels:
-        panels = geometry.build_panels(_build_shape(args, level=level))
+        panels = geometry.build_panels(_build_shape(config, level))
         system = bem.assemble(panels, workers=args.workers)
         c = capacitance.solve_capacitance(system).capacitance
         rows.append(
@@ -302,10 +299,10 @@ def cmd_converge(args) -> int:
         for r in rows:
             r["error_vs_limit"] = abs(r["C"] - limit)
     report = {
-        "schema": "convreport/2",
+        "schema": "convreport/3",
         "config": {
             "command": "converge",
-            **_shape_config(args),
+            **config,
             "levels": levels,
             "quad_order": bem.FAR_RULE[0],
             "solver": "direct",
@@ -403,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=cmd_solve)
 
     conv = sub.add_parser("converge", help="refinement study with extrapolation")
-    _add_shape_args(conv)
+    _add_shape_args(conv, subdiv=False)
     conv.add_argument("--levels", required=True, help="comma-separated refinements")
     conv.add_argument("--workers", type=_positive_int, default=1)
     conv.add_argument("--out")

@@ -9,6 +9,7 @@ bitwise-identical arrays.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import warnings
 from dataclasses import dataclass
@@ -177,10 +178,6 @@ class PanelSystem:
             arr.setflags(write=False)
         return cls(corners, areas, centroids, float(np.sum(areas)))
 
-    @classmethod
-    def from_mesh(cls, mesh: SurfaceMesh) -> "PanelSystem":
-        return cls.from_triangles(mesh.vertices[mesh.triangles])
-
     @property
     def n_panels(self) -> int:
         return len(self.areas)
@@ -188,7 +185,7 @@ class PanelSystem:
 
 def build_panels(mesh: SurfaceMesh) -> PanelSystem:
     """Compute per-triangle areas, centroids and the total surface area."""
-    return PanelSystem.from_mesh(mesh)
+    return PanelSystem.from_triangles(mesh.vertices[mesh.triangles])
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +219,25 @@ def _signed_volume(vertices: np.ndarray, triangles: np.ndarray) -> float:
     return float(np.sum(np.einsum("ij,ij->i", c[:, 0], np.cross(c[:, 1], c[:, 2]))) / 6.0)
 
 
+def _level(value, name: str) -> int:
+    """A generator's level as an int; a float, even 2.0, is an error, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise VarcapError(f"{name} must be an integer, got {value!r}") from None
+
+
 def make_icosphere(radius: float, subdivisions: int) -> SurfaceMesh:
     """Icosahedron subdivided ``subdivisions`` times, vertices on the sphere."""
     if radius <= 0:
         raise VarcapError(f"radius must be positive, got {radius}")
-    if not 0 <= int(subdivisions) <= MAX_SUBDIVISIONS:
+    subdivisions = _level(subdivisions, "subdivisions")
+    if not 0 <= subdivisions <= MAX_SUBDIVISIONS:
         raise VarcapError(
             f"subdivisions must be in 0..{MAX_SUBDIVISIONS}, got {subdivisions}"
         )
     verts, faces = _icosahedron()
-    for _ in range(int(subdivisions)):
+    for _ in range(subdivisions):
         # One new vertex per edge, shared by the two faces that border it.
         edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
         ends, inverse = np.unique(edges, axis=0, return_inverse=True)
@@ -251,7 +257,7 @@ def make_cube(side: float, panels_per_edge: int) -> SurfaceMesh:
     """Axis-aligned cube with each face split into 2 * panels_per_edge**2 triangles."""
     if side <= 0:
         raise VarcapError(f"side must be positive, got {side}")
-    ppe = int(panels_per_edge)
+    ppe = _level(panels_per_edge, "panels_per_edge")
     if ppe < 1:
         raise VarcapError(f"panels_per_edge must be >= 1, got {panels_per_edge}")
     # Each face: grid origin and in-plane axes chosen so e1 x e2 points outward.

@@ -12,7 +12,12 @@ import varcap
 from varcap import PanelSystem, assemble, bem, spd_check, triangle_potential
 from varcap.bem import FOUR_PI, _rules
 from varcap.cli import EXIT_MESH, main
-from varcap.errors import AssemblyError, DegenerateTriangleError
+from varcap.errors import (
+    AssemblyError,
+    DegenerateTriangleError,
+    DimensionMismatchError,
+    NonFiniteInputError,
+)
 
 from oracles import (
     deep_panel_integral,
@@ -122,6 +127,34 @@ class TestTrianglePotential:
         tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         with pytest.raises(DegenerateTriangleError):
             triangle_potential([0.0, 0.0, 1.0], tri)
+
+    @pytest.mark.parametrize(
+        "points, corners, error",
+        [
+            ([[0.0, 0.0, 1.0, 4.0]], TRI, DimensionMismatchError),
+            ([[0.0, 0.0]], TRI, DimensionMismatchError),
+            (np.zeros((2, 2, 3)), TRI, DimensionMismatchError),
+            ([[0.0, 0.0, 1.0]], TRI[:2], DimensionMismatchError),
+            ([[0.0, 0.0, 1.0]], TRI.ravel(), DimensionMismatchError),
+            ([[np.nan, 0.0, 1.0]], TRI, NonFiniteInputError),
+            ([0.0, np.inf, 1.0], TRI, NonFiniteInputError),
+            ([[0.0, 0.0, 1.0]], np.where(np.eye(3, dtype=bool), np.nan, TRI), NonFiniteInputError),
+        ],
+        ids=[
+            "four-columns", "two-columns", "three-dims", "two-corners", "flat-corners",
+            "nan-point", "inf-point", "nan-corner",
+        ],
+    )
+    def test_malformed_input_rejected(self, points, corners, error):
+        # Points are (n, 3) or one (3,), corners (3, 3), all finite: a fourth
+        # column is not dropped, and no NaN comes back.
+        with pytest.raises(error):
+            varcap.triangle_potentials(points, corners)
+
+    def test_scalar_wrapper_takes_one_point(self):
+        for point in (5.0, [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]):
+            with pytest.raises(DimensionMismatchError):
+                triangle_potential(point, TRI)
 
     def test_small_and_distant_triangles_accepted(self):
         # The potential is homogeneous of degree 1 and translation-invariant.

@@ -17,15 +17,15 @@ from varcap.cli import (
     EXIT_OK,
     EXIT_PRINCIPLE,
     EXIT_USAGE,
+    SHAPES,
+    _shape_config,
     build_parser,
     main,
     richardson_extrapolate,
 )
 from varcap.errors import VarcapError
 
-SHAPE_OPTIONS = {
-    "--shape", "--radius", "--side", "--semiaxes", "--subdiv", "--panels-per-edge"
-}
+SHAPE_OPTIONS = {"--shape", "--size", "--subdiv"}
 
 
 def run_cli(capsys, *argv):
@@ -48,10 +48,10 @@ class TestSurface:
         assert options == {
             "generate": SHAPE_OPTIONS | {"--out"},
             "solve": SHAPE_OPTIONS | {"--mesh", "--workers", "--out", "--json"},
-            "converge": SHAPE_OPTIONS | {"--levels", "--workers", "--out", "--json"},
+            "converge": {"--shape", "--size", "--levels", "--workers", "--out", "--json"},
             "verify-principle": {"--input", "--out"},
         }
-        assert sum(map(len, options.values())) == 29
+        assert sum(map(len, options.values())) == 19
 
     def test_readme_command_lines_parse(self):
         # Every varcap line of README's command-line block names only
@@ -63,8 +63,13 @@ class TestSurface:
             if line.startswith("varcap ")
         ]
         assert len(lines) >= 5
+        sized = set()
         for line in lines:
-            build_parser().parse_args(shlex.split(line)[1:])
+            args = build_parser().parse_args(shlex.split(line)[1:])
+            if getattr(args, "size", None):
+                sized.add(_shape_config(args)["shape"])
+        # Each built-in shape has a line whose --size has that shape's length.
+        assert sized == set(SHAPES)
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     @pytest.mark.parametrize(
@@ -94,6 +99,38 @@ class TestSurface:
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, code, expected",
+        [
+            (["solve", "--shape", "cube", "--subdiv", "8", "--json"], EXIT_OK, '"panels": 768'),
+            (["solve", "--mesh", "f.obj", "--subdiv", "2"], EXIT_USAGE, "--mesh takes no"),
+            (["solve", "--mesh", "f.obj", "--size", "2"], EXIT_USAGE, "--mesh takes no"),
+            (
+                ["solve", "--shape", "ellipsoid", "--size", "1", "2"], EXIT_USAGE,
+                "--shape ellipsoid takes 3 --size value(s), got 2",
+            ),
+            (
+                ["converge", "--shape", "cube", "--levels", "2,4", "--subdiv", "4"], EXIT_USAGE,
+                "unrecognized arguments: --subdiv 4",
+            ),
+        ],
+        ids=["cube-subdiv", "mesh-subdiv", "mesh-size", "ellipsoid-two-sizes", "converge-subdiv"],
+    )
+    def test_every_option_used_or_rejected(
+        self, argv, code, expected, tmp_path, monkeypatch, capsys
+    ):
+        # The chosen shape uses each shape option given, or the run is a
+        # usage error; none is ignored.
+        monkeypatch.chdir(tmp_path)
+        varcap.save_obj(varcap.make_icosphere(1.0, 1), "f.obj")
+        try:
+            result = main(argv)
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        assert result == code
+        assert expected in captured.out + captured.err
+
 
 class TestGenerate:
     def test_obj_output(self, tmp_path, capsys):
@@ -112,7 +149,7 @@ class TestGenerate:
     def test_stl_output(self, tmp_path, capsys):
         path = tmp_path / "cube.stl"
         code, out = run_cli(
-            capsys, "generate", "--shape", "cube", "--panels-per-edge", "2",
+            capsys, "generate", "--shape", "cube", "--subdiv", "2",
             "--out", str(path),
         )
         assert code == EXIT_OK
@@ -134,7 +171,7 @@ class TestSolve:
         )
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["schema"] == "capreport/6"
+        assert report["schema"] == "capreport/7"
         assert report["config"]["quad_order"] == 4
         assert report["config"]["solver"] == "direct"
         assert "seed" not in report["config"]
@@ -167,7 +204,7 @@ class TestSolve:
         caps = []
         for radius in ("1", "1e-7"):
             code, out = run_cli(
-                capsys, "solve", "--shape", "icosphere", "--radius", radius,
+                capsys, "solve", "--shape", "icosphere", "--size", radius,
                 "--subdiv", "2", "--json",
             )
             assert code == EXIT_OK, out
@@ -286,11 +323,10 @@ class TestConverge:
         )
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["schema"] == "convreport/2"
+        assert report["schema"] == "convreport/3"
         assert report["config"] == {
-            "command": "converge", "shape": "cube", "side": 1.0,
-            "panels_per_edge": 4, "levels": [2, 4, 8], "quad_order": 4,
-            "solver": "direct",
+            "command": "converge", "shape": "cube", "size": [1.0],
+            "levels": [2, 4, 8], "quad_order": 4, "solver": "direct",
         }
         assert [r["level"] for r in report["rows"]] == [2, 4, 8]
         caps = [r["C"] for r in report["rows"]]
@@ -301,7 +337,7 @@ class TestConverge:
         assert extra["limit"] / (4 * math.pi) == pytest.approx(0.66, abs=0.01)
 
     def test_computes_only_reported_values(self, capsys, monkeypatch):
-        # convreport/2 has no SPD diagnostics or subspace bounds per level.
+        # convreport/3 has no SPD diagnostics or subspace bounds per level.
         def unused(*args, **kwargs):
             raise AssertionError("converge computed a value it does not report")
 

@@ -106,6 +106,12 @@ class TestIcosphere:
             varcap.make_icosphere(1.0, 99)
         with pytest.raises(varcap.errors.VarcapError):
             varcap.make_icosphere(-1.0, 1)
+        # A level that is not an integer is an error, not truncated.
+        for level in (2.5, 2.0, "2"):
+            with pytest.raises(varcap.errors.VarcapError, match="must be an integer"):
+                varcap.make_icosphere(1.0, level)
+            with pytest.raises(varcap.errors.VarcapError, match="must be an integer"):
+                varcap.make_ellipsoid(1.0, 1.0, 1.0, level)
 
 
 class TestCube:
@@ -135,6 +141,9 @@ class TestCube:
             varcap.make_cube(1.0, 0)
         with pytest.raises(varcap.errors.VarcapError):
             varcap.make_cube(0.0, 2)
+        for ppe in (2.5, 2.0, "2"):
+            with pytest.raises(varcap.errors.VarcapError, match="must be an integer"):
+                varcap.make_cube(1.0, ppe)
 
 
 class TestEllipsoid:
