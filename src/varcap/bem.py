@@ -1,13 +1,15 @@
 """Dense Galerkin discretization of the single-layer capacitance operator.
 
 Matrix entries are the double surface integrals of 1/(4 pi |s - t|) over
-panel pairs. The far field applies one fixed rule, FAR_RULE (Dunavant's
-6-point degree-4 rule), to both panels (Sauter & Schwab, Boundary Element
-Methods, 2011, ch. 5). The diagonal has a closed form. Touching pairs
-(shared edge or vertex) and the near ring, found by one KD-tree query, use
-the closed-form potential of a uniformly charged triangle inside and a
-collapsed tensor Gauss rule, graded toward the shared feature, outside;
-the near ring's farther pairs take a coarser rule than its closer ones.
+panel pairs. One ordered table, TIERS, gives each pair its quadrature
+from its shared corners and its separation (Sauter & Schwab, Boundary
+Element Methods, 2011, ch. 5). The far field, its last row, applies
+Dunavant's 6-point degree-4 rule to both panels. The diagonal has a closed
+form. Touching pairs (shared edge or vertex) and the near ring, found by
+one KD-tree query, use the closed-form potential of a uniformly charged
+triangle inside and a collapsed tensor Gauss rule, graded toward the
+shared feature, outside; the near ring's farther pairs take a coarser rule
+than its closer ones.
 The potential is evaluated in the source triangle's own frame: a point's
 coordinates (u, v, h) there and its distances d_k from the sides' lines
 are affine in the point, so the outer rule's values are interpolated from
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -52,60 +55,54 @@ __all__ = [
 
 FOUR_PI = 4.0 * math.pi
 
-# Quadrature rules, all sized to one budget of |dC/C| <= 1e-7, far below the
-# discretization error. The far field applies FAR_RULE, Dunavant's 6-point
-# rule (IJNME 21, 1985), to both panels of a pair; the degree-8 rule on both
-# panels in its place moves C by at most 8.8e-9 (sphere3). Near the
-# diagonal the inner integral is analytic, so only the outer rule limits an
-# entry's accuracy. Diagonal entries have a closed form (_self_integrals).
-# Touching pairs and the near ring (other pairs whose centroids are closer
-# than NEAR_FACTOR times the sum of the panel radii) use a tensor
-# Gauss-Legendre rule on the outer triangle, collapsed at one corner
-# (Duffy), with radial nodes s(sigma) graded toward the shared feature.
-# The near ring is split by separation (Sauter & Schwab, sec. 5.3): pairs
-# closer than RING_FACTOR times the radii's sum form the "near" tier, the
-# rest the "ring" tier, whose 5x5 rule moves C by at most 7.0e-11 against
-# one 8x8 rule for the whole ring and 25 points in place of 64 leave the
-# ring 0.53-0.61 of the kernel evaluations (sphere1-4, cube4-16, 2:1:1
-# ellipsoids). Edge and vertex pairs are evaluated in both directions and
-# averaged, as their two directions differ by the rule's error; a near or
-# ring pair (i, j), i < j, is evaluated once with panel i as the outer
-# triangle and mirrored, which moves C by at most 5.7e-12 relative on
-# sphere1-4, cube2-16 and 2:1:1 and seeded ellipsoids. The closest pairs
-# set that effect: with the whole ring at 5x5 it reads 1.7e-9 on cube8.
+# Quadrature by tier (Sauter & Schwab, sec. 5.3). A pair of distinct panels
+# takes the first row of TIERS that it matches: it shares the row's number
+# of corners, and its centroids are closer than the row's cut times r_i + r_j,
+# r a panel's largest centroid-to-corner distance. The rows are sized to one
+# budget, |dC/C| <= 1e-7, far below the discretization error: with every
+# refined rule at twice the nodes and the ring cut at 3, C moves by at most
+# 2.1e-8 (sphere1) and 3.4e-9 (cube4); with a degree-8 far rule, by at most
+# 8.8e-9 (sphere3). The diagonal has a closed form (_self_integrals).
+# A refined row integrates the closed-form inner potential under a tensor
+# Gauss-Legendre outer rule collapsed at one corner (Duffy), with radial
+# nodes s(sigma) graded toward the shared feature. A touching pair is
+# evaluated in both directions and averaged, as the two differ by the rule's
+# error; a separated pair (i, j), i < j, once with panel i outer, which moves
+# C by at most 5.7e-12 relative (sphere1-4, cube2-16, 2:1:1 and seeded
+# ellipsoids). The far row applies Dunavant's 6-point rule (IJNME 21, 1985)
+# to both panels. Each row's comment gives its worst relative entry error:
+# touching rows against a deep hp-graded reference (tests/test_bem.py) over
+# edge pairs from flat to 90 degrees with aspect ratios up to 5 and vertex
+# pairs at least 15 degrees apart; separated rows against a 16x16 rule on
+# sphere3, cube8-16 and 2:1:1 ellipsoids at levels 2-3. Beyond that range
+# errors grow: aspect 10 about 1e-6, a 10-degree fold 6e-6, a 5-degree vertex
+# gap 2.6e-7, a near pair of a 5:1:1 ellipsoid's level-2 mesh 1.3e-5.
 #
-#   class   collapsed at   s(sigma)           nodes  degree  max entry error
-#   far     symmetric      -                  6      4
-#   edge    corner 2       1 - (1 - sigma)^3  10x10  4       1.1e-7
-#   vertex  shared corner  sigma^2             8x8   6       5.7e-8
-#   near    corner 0       sigma               8x8   14      1.8e-8
-#   ring    corner 0       sigma               5x5   8       4.7e-8
-#
-# Entry errors are relative, against a deep hp-graded reference
-# (tests/test_bem.py), over edge pairs from flat to 90 degrees with aspect
-# ratios up to 5 and vertex pairs at least 15 degrees apart; near and ring
-# errors against a 16x16 rule on sphere3, cube8-16 and 2:1:1 ellipsoids at
-# levels 2-3. Beyond that they grow: aspect 10 about 1e-6, a 10-degree fold
-# 6e-6, a 5-degree vertex gap 2.6e-7, a near pair of a 5:1:1 ellipsoid's
-# level-2 mesh 1.3e-5. With every near rule at twice the nodes and
-# NEAR_FACTOR 3, C moves by at most 2.1e-8 on sphere1 and 3.4e-9 on cube4.
+# A Duffy spec: collapsed corner, nodes per direction, sigma -> (s, ds/dsigma).
+Duffy = namedtuple("Duffy", "corner nodes grade")
+# A tier takes the pairs that share `shared` corners and whose centroids are
+# closer than cut (r_i + r_j); its rule is a Duffy spec, or (barycentric
+# points, weights) applied to both panels.
+Tier = namedtuple("Tier", "name shared cut rule")
+
 _W = np.repeat([0.223381589678011, 0.109951743655322], 3)
-FAR_RULE = (
-    # (degree, barycentric points, weights)
-    4,
-    np.array([np.roll([1.0 - 2.0 * a, a, a], k)
-              for a in (0.445948490915965, 0.091576213509771) for k in range(3)]),
-    _W / _W.sum(),  # the published table carries ~15 digits; enforce an exact sum
+TIERS = (
+    # 1.1e-7; collapsed at corner 2, the unshared one; exact to degree 4
+    Tier("edge", 2, math.inf, Duffy(2, 10, lambda x: (1 - (1 - x) ** 3, 3 * (1 - x) ** 2))),
+    # 5.7e-8; collapsed at the shared corner; exact to degree 6
+    Tier("vertex", 1, math.inf, Duffy(0, 8, lambda x: (x * x, 2.0 * x))),
+    # 1.8e-8; exact to degree 14
+    Tier("near", 0, 1.4, Duffy(0, 8, lambda x: (x, np.ones_like(x)))),
+    # 4.7e-8; exact to degree 8, moves C by at most 7.0e-11 against 8x8, with
+    # 0.53-0.61 of the points (sphere1-4, cube4-16, 2:1:1 ellipsoids)
+    Tier("ring", 0, 2.0, Duffy(0, 5, lambda x: (x, np.ones_like(x)))),
+    # 5.3e-6 against 8x8 on both panels (sampled pairs out to 3.0); degree 4
+    Tier("far", 0, math.inf, (
+        np.array([np.roll([1.0 - 2.0 * a, a, a], k)
+                  for a in (0.445948490915965, 0.091576213509771) for k in range(3)]),
+        _W / _W.sum(),  # the published table carries ~15 digits; enforce an exact sum
+    )),
 )
-NEAR_RULES = {
-    # class: (collapsed corner, nodes per direction, sigma -> (s, ds/dsigma))
-    "edge": (2, 10, lambda x: (1.0 - (1.0 - x) ** 3, 3.0 * (1.0 - x) ** 2)),
-    "vertex": (0, 8, lambda x: (x * x, 2.0 * x)),
-    "near": (0, 8, lambda x: (x, np.ones_like(x))),
-    "ring": (0, 5, lambda x: (x, np.ones_like(x))),
-}
-NEAR_FACTOR = 2.0
-RING_FACTOR = 1.4  # near-ring pairs this far apart take the "ring" rule
 
 # Evaluation points per _potential_local call. The kernel holds its 5
 # inputs and 10 temporaries of this many doubles, 2.0 MB at 16k, about one
@@ -304,9 +301,9 @@ def _duffy_rule(corner: int, nodes: int, grade) -> tuple[np.ndarray, np.ndarray]
     return pts.reshape(-1, 3), wts.ravel()
 
 
-def _rules() -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """(Barycentric points, weights) by class: FAR_RULE's, and NEAR_RULES' built."""
-    return {"far": FAR_RULE[1:], **{name: _duffy_rule(*spec) for name, spec in NEAR_RULES.items()}}
+def _rule_table(rule) -> tuple[np.ndarray, np.ndarray]:
+    """A tier's rule as (barycentric points, weights): a Duffy spec built, or as given."""
+    return _duffy_rule(*rule) if isinstance(rule, Duffy) else rule
 
 
 def _self_integrals(corners: np.ndarray, areas: np.ndarray) -> np.ndarray:
@@ -329,10 +326,10 @@ def _self_integrals(corners: np.ndarray, areas: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassStats:
-    """Assembly work of one entry class: far, self, edge, vertex, near or ring."""
+    """Assembly work of one entry class: a row of TIERS, or self."""
 
     entries: int
-    points: int      # per entry: 36 far, 0 self, 100 edge, 64 vertex and near, 25 ring
+    points: int      # per entry: its TIERS row's rule points (far: point pairs, 36); 0 self
     seconds: float
 
 
@@ -341,14 +338,13 @@ class GalerkinSystem:
     """Dense symmetric Galerkin matrix with panel areas and diagnostics.
 
     ``assembly`` maps each entry class to its work. Assembly writes the
-    upper triangle and mirrors it once. The far field and the near ring's
-    two tiers, near and ring, compute each pair (i, j), i < j, once, so
-    their entries count pairs; the edge and vertex classes compute both
-    directions of each pair and count both. Edge, vertex, near and ring
-    entries overwrite the far field's.
+    upper triangle and mirrors it once. The far field and the separated
+    tiers compute each pair (i, j), i < j, once, so their entries count
+    pairs; the touching tiers compute both directions of each pair and count
+    both. Refined entries overwrite the far field's.
     ``asymmetry_norm`` is the largest difference between the two
-    directions of an edge or vertex pair, whose mean ``(M_ij + M_ji) / 2``
-    is the entry; every other entry has one value.
+    directions of a touching pair, whose mean ``(M_ij + M_ji) / 2`` is the
+    entry; every other entry has one value.
     """
 
     matrix: np.ndarray
@@ -364,49 +360,49 @@ class GalerkinSystem:
 
 
 def _refined_pairs(corners: np.ndarray, centroids: np.ndarray) -> dict:
-    """Pairs (i, j), i < j, that take a refined outer rule, by class.
+    """Pairs (i, j), i < j, of each refined tier, every row of TIERS but the last.
 
-    One KD-tree query finds the pairs whose centroids are closer than
-    NEAR_FACTOR (r_i + r_j), r a panel's largest centroid-to-corner
-    distance, which include every pair sharing a corner. Many cube pairs sit
-    exactly on the cut-off, so it and the RING_FACTOR cut carry a relative
-    slack of 1e-9: otherwise rounding decides their side on a translated or
-    scaled copy. Corners match by value (exact for panels built from one
-    mesh vertex array); two shared make an "edge" pair, one a "vertex" pair,
-    none a "near" one below RING_FACTOR (r_i + r_j) or a "ring" one beyond,
-    and three a duplicate panel, which raises DegenerateTriangleError.
-    "edge" and "vertex" give (i, j, perm_i, perm_j), each perm rotating its
-    panel's corners so the shared vertex comes first or the unshared corner
-    last; "near" and "ring" give (i, j).
+    One KD-tree query finds the pairs whose centroids are closer than the
+    largest finite cut times r_i + r_j, which include every pair sharing a
+    corner, since |c_i - c_j| <= r_i + r_j. Each pair takes the first row it
+    matches; the far field, the last row, takes the rest. Many cube pairs sit
+    exactly on a cut, so every cut carries a relative slack of 1e-9:
+    otherwise rounding decides their side on a translated or scaled copy.
+    Corners match by value (exact for panels built from one mesh vertex
+    array); three shared make a duplicate panel, which raises
+    DegenerateTriangleError. Each row gives (i, j, perm_i, perm_j), each perm
+    rotating its panel's corners so the shared vertex comes first or the
+    unshared corner last; a separated pair's perms keep its corners.
     """
-    m = len(corners)
     slack = 1.0 + 1e-9
-    cut = NEAR_FACTOR * slack
+    reach = max(tier.cut for tier in TIERS if math.isfinite(tier.cut)) * slack
     radii = np.max(np.linalg.norm(corners - centroids[:, None, :], axis=2), axis=1)
-    pairs = cKDTree(centroids).query_pairs(cut * 2.0 * float(radii.max()), output_type="ndarray")
+    pairs = cKDTree(centroids).query_pairs(reach * 2.0 * float(radii.max()), output_type="ndarray")
     diff = centroids[pairs[:, 0]] - centroids[pairs[:, 1]]
     dist = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
     span = radii[pairs[:, 0]] + radii[pairs[:, 1]]
-    keep = dist < cut * span
+    keep = dist < reach * span
     i, j = pairs[keep].T
-    close = dist[keep] < RING_FACTOR * slack * span[keep]
-    ids = np.unique(corners.reshape(-1, 3), axis=0, return_inverse=True)[1].reshape(m, 3)
+    dist, span = dist[keep], span[keep]
+    ids = np.unique(corners.reshape(-1, 3), axis=0, return_inverse=True)[1].reshape(-1, 3)
     on = ids[i][:, :, None] == ids[j][:, None, :]
     count = on.sum(axis=(1, 2))
     if np.any(count == 3):
         k = np.argmax(count == 3)
         raise DegenerateTriangleError([int(i[k]), int(j[k])], f"duplicate panels {i[k]} and {j[k]}")
-    near, ring = (count == 0) & close, (count == 0) & ~close
-    classes = {"near": (i[near], j[near]), "ring": (i[ring], j[ring])}
-    for name, edge in (("edge", True), ("vertex", False)):
-        sel = count == (2 if edge else 1)
-        both = on[sel]
-        # The first corner is the shared one, or the one after the unshared one.
-        perm_i, perm_j = (
-            (np.nonzero(shared != edge)[1][:, None] + np.arange(3) + edge) % 3
-            for shared in (both.any(axis=2), both.any(axis=1))
-        )
-        classes[name] = (i[sel], j[sel], perm_i, perm_j)
+    classes, free = {}, np.ones(len(i), dtype=bool)
+    for tier in TIERS[:-1]:
+        sel = np.flatnonzero(free & (count == tier.shared) & (dist < tier.cut * slack * span))
+        free[sel] = False
+        perm_i = perm_j = np.tile(np.arange(3), (len(sel), 1))
+        if tier.shared:
+            # The first corner is the shared one, or the one after the unshared one.
+            both, edge = on[sel], tier.shared == 2
+            perm_i, perm_j = (
+                (np.nonzero(shared != edge)[1][:, None] + np.arange(3) + edge) % 3
+                for shared in (both.any(axis=2), both.any(axis=1))
+            )
+        classes[tier.name] = (i[sel], j[sel], perm_i, perm_j)
     return classes
 
 
@@ -414,17 +410,17 @@ def _refined_entries(corners, areas, rows, srcs, perms, pts_bary, wts) -> np.nda
     """Entries (rows, srcs), divided by 4 pi, from a refined outer rule.
 
     ``perms`` permutes each outer triangle's corners so the shared feature
-    sits where the graded rule expects it; None keeps them. Each entry's
-    weighted sum is a row sum of its own values, so it does not depend on
-    the entry's place in a chunk or on the order of the pairs. Each kernel
-    call takes a chunk of pairs with at most POINTS_PER_CALL outer points.
+    sits where the graded rule expects it. Each entry's weighted sum is a
+    row sum of its own values, so it does not depend on the entry's place in
+    a chunk or on the order of the pairs. Each kernel call takes a chunk of
+    pairs with at most POINTS_PER_CALL outer points.
     """
     origin, axes, dims = _frames(corners)
     out = np.empty(len(rows))
     chunk = max(1, POINTS_PER_CALL // len(wts))
     for s in range(0, len(rows), chunk):
         r, src = rows[s : s + chunk], srcs[s : s + chunk]
-        outer = corners[r] if perms is None else corners[r[:, None], perms[s : s + chunk]]
+        outer = corners[r[:, None], perms[s : s + chunk]]
         rel = (outer - origin[src, None, :]).transpose(2, 0, 1)
         at_corners = _local_coordinates(rel, axes[src], dims[:, src])
         vals = _potential_local(at_corners @ pts_bary.T, dims[:, src])
@@ -466,8 +462,8 @@ def assemble(panels: PanelSystem, workers: int = 1) -> GalerkinSystem:
     corners = panels.corners
     areas = panels.areas
     m = panels.n_panels
-    rules = _rules()
-    far_points, far_weights = rules["far"]
+    *tiers, far = TIERS
+    far_points, far_weights = _rule_table(far.rule)
     nq = len(far_weights)
     stats: dict[str, ClassStats] = {}
     refined = _refined_pairs(corners, panels.centroids)
@@ -494,30 +490,28 @@ def assemble(panels: PanelSystem, workers: int = 1) -> GalerkinSystem:
         shares = pool.map(fill_share, range(1, workers))
         fill_share(0)
         list(shares)
-    stats["far"] = ClassStats(m * (m - 1) // 2, nq * nq, time.perf_counter() - start)
+    stats[far.name] = ClassStats(m * (m - 1) // 2, nq * nq, time.perf_counter() - start)
 
     start = time.perf_counter()
     diag = np.arange(m)
     matrix[diag, diag] = _self_integrals(corners, areas) / FOUR_PI
     stats["self"] = ClassStats(m, 0, time.perf_counter() - start)
 
-    # Refined pairs overwrite the far field's (i, j), i < j. A near or ring
-    # pair takes one direction, panel i outer; an edge or vertex pair the
-    # mean of both, whose difference is asymmetry_norm.
+    # Refined pairs overwrite the far field's (i, j), i < j. A separated pair
+    # takes one direction, panel i outer; a touching pair the mean of both,
+    # whose difference is asymmetry_norm.
     asym = 0.0
-    for case in ("edge", "vertex", "near", "ring"):
+    for tier in tiers:
         start = time.perf_counter()
-        pts, wts = rules[case]
-        i, j, *perms = refined[case]
-        if perms:
-            rows, srcs = np.concatenate([i, j]), np.concatenate([j, i])
-            vals = _refined_entries(corners, areas, rows, srcs, np.concatenate(perms), pts, wts)
-            forward, backward = vals[: len(i)], vals[len(i) :]
-            asym = max(asym, float(np.max(np.abs(forward - backward), initial=0.0)))
-            matrix[i, j] = 0.5 * (forward + backward)
-        else:
-            matrix[i, j] = vals = _refined_entries(corners, areas, i, j, None, pts, wts)
-        stats[case] = ClassStats(len(vals), len(wts), time.perf_counter() - start)
+        pts, wts = _rule_table(tier.rule)
+        i, j, perm_i, perm_j = refined[tier.name]
+        directions = [(i, j, perm_i), (j, i, perm_j)][: 2 if tier.shared else 1]
+        rows, srcs, perms = (np.concatenate(part) for part in zip(*directions))
+        vals = _refined_entries(corners, areas, rows, srcs, perms, pts, wts)
+        vals = vals.reshape(len(directions), -1)
+        asym = max(asym, float(np.max(np.abs(vals[0] - vals[-1]), initial=0.0)))
+        matrix[i, j] = vals.mean(axis=0)
+        stats[tier.name] = ClassStats(vals.size, len(wts), time.perf_counter() - start)
 
     # The lower triangle is the upper one's mirror, copied in MIRROR_BLOCK squares.
     below = np.tri(MIRROR_BLOCK, k=-1, dtype=bool)

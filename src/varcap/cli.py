@@ -145,13 +145,8 @@ def _solve_pipeline(mesh, workers):
 def _solve_report(config, mesh, panels, system, solution, ledger, timings) -> dict:
     lo, hi = mesh.bbox
     return {
-        "schema": "capreport/7",
-        "config": {
-            "command": "solve",
-            **config,
-            "quad_order": bem.FAR_RULE[0],
-            "solver": "direct",
-        },
+        "schema": "capreport/8",
+        "config": {"command": "solve", **config},
         "mesh": {
             "panels": panels.n_panels,
             "vertices": mesh.n_vertices,
@@ -170,7 +165,6 @@ def _solve_report(config, mesh, panels, system, solution, ledger, timings) -> di
             "lambda_min_lower_bound": solution.lambda_min_lower_bound,
             "asymmetry_norm": system.asymmetry_norm,
             "residual_norm": solution.residual_norm,
-            "solve_iterations": solution.solve_iterations,
             "assembly": {
                 name: {"entries": s.entries, "points_per_entry": s.points}
                 for name, s in system.assembly.items()
@@ -277,7 +271,7 @@ def cmd_converge(args) -> int:
             f"{levels[0]},{refine(levels[0])} does: Richardson extrapolation "
             "assumes a refinement ratio of 2"
         )
-    # convreport/3 carries C and C0 per level, so no SPD check or bound ledger.
+    # convreport/4 carries C and C0 per level, so no SPD check or bound ledger.
     rows = []
     for level in levels:
         panels = geometry.build_panels(_build_shape(config, level))
@@ -299,14 +293,8 @@ def cmd_converge(args) -> int:
         for r in rows:
             r["error_vs_limit"] = abs(r["C"] - limit)
     report = {
-        "schema": "convreport/3",
-        "config": {
-            "command": "converge",
-            **config,
-            "levels": levels,
-            "quad_order": bem.FAR_RULE[0],
-            "solver": "direct",
-        },
+        "schema": "convreport/4",
+        "config": {"command": "converge", **config, "levels": levels},
         "rows": rows,
         "extrapolation": extrapolation,
     }

@@ -168,8 +168,8 @@ class PanelSystem:
     @classmethod
     def from_triangles(cls, corners) -> "PanelSystem":
         corners = np.ascontiguousarray(corners, dtype=np.float64)
-        if corners.ndim != 3 or corners.shape[1:] != (3, 3):
-            raise MeshFormatError("corners must be an (m, 3, 3) array")
+        if corners.ndim != 3 or corners.shape[1:] != (3, 3) or len(corners) == 0:
+            raise MeshFormatError("corners must be an (m, 3, 3) array, m >= 1")
         if not np.all(np.isfinite(corners)):
             raise NonFiniteInputError("panel corners contain non-finite values")
         areas = _checked_areas(corners)

@@ -10,7 +10,7 @@ from numpy.polynomial.legendre import leggauss
 
 import varcap
 from varcap import PanelSystem, assemble, bem, spd_check, triangle_potential
-from varcap.bem import FOUR_PI, _rules
+from varcap.bem import FOUR_PI
 from varcap.cli import EXIT_MESH, main
 from varcap.errors import (
     AssemblyError,
@@ -30,7 +30,19 @@ TRI = np.array([[0.1, -0.2, 0.05], [1.3, 0.4, -0.1], [0.2, 1.1, 0.3]])
 # A deeper far rule for references: the ungraded collapsed 5 x 5 Gauss rule,
 # 25 points, exact to degree 8, as the ring tier's rule is (the near tier's
 # at 8 x 8 is exact to 14).
-DEEP_FAR_RULE = (8, *bem._duffy_rule(0, 5, lambda x: (x, np.ones_like(x))))
+DEEP_FAR_RULE = bem.Duffy(0, 5, lambda x: (x, np.ones_like(x)))
+# The far rule, Dunavant's 6 points, is exact to this degree.
+FAR_DEGREE = 4
+
+
+def tier_rule(name):
+    """(Barycentric points, weights) of the TIERS row of this name."""
+    return bem._rule_table(next(tier.rule for tier in bem.TIERS if tier.name == name))
+
+
+def deep_far_tiers():
+    """TIERS with DEEP_FAR_RULE in the far row, the last."""
+    return (*bem.TIERS[:-1], bem.TIERS[-1]._replace(rule=DEEP_FAR_RULE))
 
 
 def rule_monomial(points, weights, a, b):
@@ -41,12 +53,12 @@ def rule_monomial(points, weights, a, b):
 
 
 class TestQuadratureRules:
-    # The far rule, Dunavant's 6-point rule, serves every requested order up
-    # to its degree, 4: orders 3 and 4 both get it.
+    # The far rule, Dunavant's 6-point rule, is exact up to FAR_DEGREE, 4:
+    # checked at orders 3 and 4.
     @pytest.mark.parametrize("order", [3, 4])
     def test_normalization_and_positivity(self, order):
-        degree, points, weights = bem.FAR_RULE
-        assert degree >= order and len(weights) == 6
+        points, weights = tier_rule("far")
+        assert FAR_DEGREE >= order and len(weights) == 6
         assert np.all(weights > 0)
         assert abs(weights.sum() - 1.0) <= 1e-15
         assert np.all(points >= 0) and np.all(points <= 1)
@@ -54,8 +66,8 @@ class TestQuadratureRules:
 
     @pytest.mark.parametrize("order", [3, 4])
     def test_declared_degree_is_exact(self, order):
-        degree, points, weights = bem.FAR_RULE
-        assert degree == 4  # what reports give as quad_order
+        points, weights = tier_rule("far")
+        assert order <= FAR_DEGREE
         for a in range(order + 1):
             for b in range(order + 1 - a):
                 exact = reference_triangle_monomial(a, b)
@@ -70,7 +82,7 @@ class TestQuadratureRules:
         # sigma)^p) integrates degree d exactly while p (d + 1) + p - 1 <=
         # 2n - 1: edge p = 3, n = 10; vertex p = 2, n = 8; near p = 1, n = 8;
         # ring p = 1, n = 5.
-        points, weights = _rules()[case]
+        points, weights = tier_rule(case)
         assert np.all(weights > 0)
         assert abs(weights.sum() - 1.0) <= 1e-15
         assert np.all(points >= 0) and np.all(points <= 1)
@@ -258,7 +270,7 @@ class TestAssembly:
         tri_a = TRI
         tri_b = TRI + np.array([20.0, 3.0, -5.0])
         panels = PanelSystem.from_triangles(np.stack([tri_a, tri_b]))
-        monkeypatch.setattr(bem, "FAR_RULE", DEEP_FAR_RULE)
+        monkeypatch.setattr(bem, "TIERS", deep_far_tiers())
         system = assemble(panels)
         oracle = four_dim_gauss_entry(tri_a, tri_b) / FOUR_PI
         assert system.matrix[0, 1] == pytest.approx(oracle, rel=1e-10, abs=0.0)
@@ -277,20 +289,18 @@ class TestAssembly:
         assert FOUR_PI * system.matrix[0, 1] == pytest.approx(edge_energy, rel=1e-6)
 
     def test_near_field_rules_meet_quadrature_budget(self, solved, monkeypatch):
-        # The near-field rules are sized to a quadrature budget of
-        # |dC/C| <= 1e-7. Refining every class at once, every rule at twice
-        # the nodes per direction (16x16 near tier, 10x10 ring tier) and the
-        # ring out to NEAR_FACTOR 3 (the diagonal is exact), must not move C
-        # beyond it. Measured: 2.1e-8 on sphere1, 3.4e-9 on cube4, as with
-        # one 8x8 rule for the whole ring; the recursively graded rules these
-        # replaced read 2.5e-7 and 2.0e-7.
+        # The refined tiers are sized to a quadrature budget of |dC/C| <=
+        # 1e-7. Refining every one at once, every rule at twice the nodes per
+        # direction (16x16 near tier, 10x10 ring tier) and the ring, the
+        # last refined row, out to a cut of 3 (the diagonal is exact), must
+        # not move C beyond it. Measured: 2.1e-8 on sphere1, 3.4e-9 on cube4,
+        # as with one 8x8 rule for the whole ring; the recursively graded
+        # rules these replaced read 2.5e-7 and 2.0e-7.
         before = {name: solved(name).solution.capacitance for name in ("sphere1", "cube4")}
-        deeper = {
-            name: (corner, 2 * nodes, grade)
-            for name, (corner, nodes, grade) in bem.NEAR_RULES.items()
-        }
-        monkeypatch.setattr(bem, "NEAR_RULES", deeper)
-        monkeypatch.setattr(bem, "NEAR_FACTOR", 3.0)
+        *refined, far = bem.TIERS
+        deeper = [t._replace(rule=t.rule._replace(nodes=2 * t.rule.nodes)) for t in refined]
+        deeper[-1] = deeper[-1]._replace(cut=3.0)
+        monkeypatch.setattr(bem, "TIERS", (*deeper, far))
         for name, c in before.items():
             c_deep = varcap.solve_capacitance(assemble(solved(name).panels)).capacitance
             assert abs(c - c_deep) <= 1e-7 * c_deep, name
@@ -358,8 +368,9 @@ class TestAssembly:
 
     def test_touching_pairs_match_loop_reference(self):
         # Every ordered pair of distinct panels, compared corner by corner,
-        # and every pair (i, j), i < j, that shares none, by the centroid rule
-        # and split into the near and ring tiers at RING_FACTOR.
+        # and every pair (i, j), i < j, that shares none, by the centroid rule:
+        # the first separated row of TIERS whose cut it is within, if any.
+        separated = [t for t in bem.TIERS[:-1] if t.shared == 0]
         for mesh in (
             varcap.make_icosphere(1.0, 1),
             varcap.make_cube(1.0, 2),
@@ -369,20 +380,20 @@ class TestAssembly:
             corners, centroids = panels.corners, panels.centroids
             m = len(corners)
             radii = np.linalg.norm(corners - centroids[:, None, :], axis=2).max(axis=1)
-            expected, tiers = {}, {"near": set(), "ring": set()}
+            expected, tiers = {}, {t.name: set() for t in separated}
             for i in range(m):
                 # on[j][a]: corner a of panel i is one of panel j's corners.
                 on = (corners[i][:, None, None, :] == corners[None]).all(axis=3).any(axis=2)
                 dist = np.linalg.norm(centroids - centroids[i], axis=1)
-                close = dist < bem.NEAR_FACTOR * (1.0 + 1e-9) * (radii[i] + radii)
-                inner = dist < bem.RING_FACTOR * (1.0 + 1e-9) * (radii[i] + radii)
-                rows = zip(on.T.tolist(), close.tolist(), inner.tolist())
-                for j, (corner_on, is_close, is_inner) in enumerate(rows):
+                within = [dist < t.cut * (1.0 + 1e-9) * (radii[i] + radii) for t in separated]
+                for j, corner_on in enumerate(on.T.tolist()):
                     shared = [a for a in range(3) if corner_on[a]]
                     if i != j and shared:
                         expected[(i, j)] = shared
-                    elif i < j and not shared and is_close:
-                        tiers["near" if is_inner else "ring"].add((i, j))
+                    elif i < j and not shared:
+                        tier = next((t.name for t, w in zip(separated, within) if w[j]), None)
+                        if tier is not None:
+                            tiers[tier].add((i, j))
             pairs = bem._refined_pairs(corners, centroids)
             got = {}
             for case in ("edge", "vertex"):
@@ -394,17 +405,19 @@ class TestAssembly:
                         got[key] = sorted(perm[:2] if case == "edge" else perm[:1])
             assert got == expected
             for tier, want in tiers.items():
+                i, j, perm_i, perm_j = pairs[tier]
                 assert len(want) > 0, tier
-                assert set(zip(*pairs[tier])) == want and len(pairs[tier][0]) == len(want), tier
+                assert set(zip(i, j)) == want and len(i) == len(want), tier
+                assert np.all(perm_i == [0, 1, 2]) and np.all(perm_j == [0, 1, 2]), tier
 
     def test_near_ring_invariant_under_translation_and_scaling(self):
-        # Many cube pairs sit exactly on the NEAR_FACTOR cut-off; rounding
-        # must move no pair across it or the RING_FACTOR cut between the
-        # tiers when the cube is translated or scaled.
+        # Many cube pairs sit exactly on the ring tier's cut; rounding must
+        # move no pair across it or the near tier's cut when the cube is
+        # translated or scaled.
         def ring(mesh):
             panels = varcap.build_panels(mesh)
             pairs = bem._refined_pairs(panels.corners, panels.centroids)
-            return {tier: set(zip(*(k.tolist() for k in pairs[tier]))) for tier in ("near", "ring")}
+            return {t: set(zip(*(k.tolist() for k in pairs[t][:2]))) for t in ("near", "ring")}
 
         cube = varcap.make_cube(1.0, 4)
         base = ring(cube)
@@ -433,24 +446,23 @@ class TestAssembly:
     def test_correction_entries_independent_of_position(self):
         # A refined entry must not depend on its place in a correction
         # chunk: prepending rows or permuting the pairs moves no bit, with
-        # the corners kept (near ring) or permuted (edge and vertex pairs).
+        # the corners kept (separated pairs) or rotated (touching pairs).
         panels = varcap.build_panels(varcap.make_icosphere(1.0, 2))
         m = panels.n_panels
         pairs = np.random.default_rng(31).permutation(m * m)[:703]
         rows, srcs = pairs[3:] // m, pairs[3:] % m
-        pts, wts = _rules()["near"]
+        pts, wts = tier_rule("near")
 
         def entries(order, pad, perms):
             r = np.concatenate([pairs[:pad] // m, rows[order]])
             s = np.concatenate([pairs[:pad] % m, srcs[order]])
-            if perms is not None:
-                perms = np.tile(perms, (len(r), 1))
+            perms = np.tile(perms, (len(r), 1))
             vals = bem._refined_entries(panels.corners, panels.areas, r, s, perms, pts, wts)
             out = np.empty(len(rows))
             out[order] = vals[pad:]
             return out
 
-        for perms in (None, (0, 1, 2)):
+        for perms in ((0, 1, 2), (1, 2, 0)):
             base = entries(np.arange(len(rows)), 0, perms)
             assert np.all(base > 0)
             for pad in (1, 2, 3):
@@ -476,40 +488,50 @@ class TestAssembly:
         corners, areas = panels.corners, panels.areas
         refined = bem._refined_pairs(corners, panels.centroids)
         for case in ("edge", "vertex", "near", "ring"):
-            pts, wts = _rules()[case]
-            i, j, *perms = refined[case]
+            pts, wts = tier_rule(case)
+            i, j, perm_i, perm_j = refined[case]
             assert len(i) > 0, case
-            if perms:
-                rows, srcs, perm = np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate(perms)
-            else:
-                rows, srcs, perm = i, j, None
+            rows, srcs, perm = (np.concatenate(two) for two in ((i, j), (j, i), (perm_i, perm_j)))
             got = bem._refined_entries(corners, areas, rows, srcs, perm, pts, wts)
             for k in np.random.default_rng(47).permutation(len(rows))[:150]:
-                outer = corners[rows[k]] if perm is None else corners[rows[k]][perm[k]]
+                outer = corners[rows[k]][perm[k]]
                 inner = varcap.triangle_potentials(pts @ outer, corners[srcs[k]])
                 ref = areas[rows[k]] * float(wts @ inner) / FOUR_PI
                 assert got[k] == pytest.approx(ref, rel=1e-13, abs=0.0), (case, k)
 
     @staticmethod
-    def _tier_entries(panels, tier, rows, srcs):
-        # One direction of a near-ring tier, as a lone _refined_entries call
+    def _tier_entries(panels, tier, rows, srcs, perms):
+        # One direction of a tier's pairs, as a lone _refined_entries call
         # with the tier's own rule.
-        pts, wts = _rules()[tier]
-        return bem._refined_entries(panels.corners, panels.areas, rows, srcs, None, pts, wts)
+        pts, wts = tier_rule(tier)
+        return bem._refined_entries(panels.corners, panels.areas, rows, srcs, perms, pts, wts)
 
     @pytest.mark.parametrize("name", ["sphere2", "ellipsoid"])
     def test_near_ring_evaluated_once_and_mirrored(self, solved, name):
-        # Pair (i, j), i < j, is evaluated with panel i as the outer
-        # triangle and copied to (j, i); each tier's class counts pairs.
+        # Every refined row of TIERS, each entry bitwise. A separated pair
+        # (i, j), i < j, is evaluated with panel i as the outer triangle and
+        # copied to (j, i), and its tier counts pairs. A touching pair's
+        # entry is the mean of its two directions, which its tier counts,
+        # and asymmetry_norm is their largest difference.
         sm = solved(name)
         matrix = sm.system.matrix
         pairs = bem._refined_pairs(sm.panels.corners, sm.panels.centroids)
-        for tier in ("near", "ring"):
-            i, j = pairs[tier]
-            assert len(i) > 0 and np.all(i < j), tier
-            assert sm.system.assembly[tier].entries == len(i), tier
-            assert np.array_equal(matrix[i, j], matrix[j, i]), tier
-            assert np.array_equal(matrix[i, j], self._tier_entries(sm.panels, tier, i, j)), tier
+        assert [tier.name for tier in bem.TIERS[:-1]] == list(pairs)
+        asym = 0.0
+        for tier in bem.TIERS[:-1]:
+            i, j, perm_i, perm_j = pairs[tier.name]
+            assert len(i) > 0 and np.all(i < j), tier.name
+            assert np.array_equal(matrix[i, j], matrix[j, i]), tier.name
+            forward = self._tier_entries(sm.panels, tier.name, i, j, perm_i)
+            if tier.shared == 0:
+                assert sm.system.assembly[tier.name].entries == len(i), tier.name
+                assert np.array_equal(matrix[i, j], forward), tier.name
+                continue
+            backward = self._tier_entries(sm.panels, tier.name, j, i, perm_j)
+            assert sm.system.assembly[tier.name].entries == 2 * len(i), tier.name
+            assert np.array_equal(matrix[i, j], 0.5 * (forward + backward)), tier.name
+            asym = max(asym, float(np.max(np.abs(forward - backward))))
+        assert sm.system.asymmetry_norm == asym > 0
 
     @pytest.mark.parametrize("name", ["cube8", "ellipsoid"])
     def test_near_ring_one_direction_keeps_capacitance(self, solved, name):
@@ -523,8 +545,9 @@ class TestAssembly:
         matrix = sm.system.matrix.copy()
         pairs = bem._refined_pairs(sm.panels.corners, sm.panels.centroids)
         for tier in ("near", "ring"):
-            i, j = pairs[tier]
-            forward, backward = (self._tier_entries(sm.panels, tier, *ij) for ij in ((i, j), (j, i)))
+            i, j, perm_i, perm_j = pairs[tier]
+            forward = self._tier_entries(sm.panels, tier, i, j, perm_i)
+            backward = self._tier_entries(sm.panels, tier, j, i, perm_j)
             matrix[i, j] = matrix[j, i] = 0.5 * (forward + backward)
         averaged = varcap.GalerkinSystem(
             matrix, sm.system.areas, sm.system.total_area, 0.0, sm.system.centroids
@@ -548,7 +571,7 @@ class TestAssembly:
             refined[i, j] = refined[j, i] = True
         far_i, far_j = np.nonzero(~refined)
         pick = np.random.default_rng(43).choice(len(far_i), 400, replace=False)
-        _, points, weights = bem.FAR_RULE
+        points, weights = tier_rule("far")
         worst = 0.0
         for i, j in zip(far_i[pick], far_j[pick]):
             x, y = points @ corners[i], points @ corners[j]
@@ -571,7 +594,7 @@ class TestAssembly:
         # cube4, 5.0e-10 on the ellipsoid.
         names = ("sphere2", "cube4", "ellipsoid")
         before = {name: solved(name).solution.capacitance for name in names}
-        monkeypatch.setattr(bem, "FAR_RULE", DEEP_FAR_RULE)
+        monkeypatch.setattr(bem, "TIERS", deep_far_tiers())
         for name, c in before.items():
             deep = assemble(solved(name).panels)
             c_deep = varcap.solve_capacitance(deep).capacitance
@@ -607,8 +630,8 @@ class TestAssembly:
         # reaches a far tile, whose coincident rule points give inf; the
         # finiteness guard names the pair.
         none = np.empty(0, dtype=int)
-        touching = (none, none, np.empty((0, 3), dtype=int), np.empty((0, 3), dtype=int))
-        refined = {"near": (none, none), "ring": (none, none), "edge": touching, "vertex": touching}
+        empty = (none, none, np.empty((0, 3), dtype=int), np.empty((0, 3), dtype=int))
+        refined = {tier.name: empty for tier in bem.TIERS[:-1]}
         monkeypatch.setattr(bem, "_refined_pairs", lambda *args: refined)
         panels = PanelSystem.from_triangles(np.stack([TRI, TRI[[1, 2, 0]], TRI + 5.0]))
         with pytest.raises(AssemblyError, match=r"panel pair \(0, 1\)"):
@@ -620,7 +643,7 @@ class TestAssembly:
         # budget small enough to split sphere2's rows into many tiles, the
         # entries are the same up to the weighted sums' round-off.
         panels = varcap.build_panels(varcap.make_icosphere(1.0, 2))
-        nq = len(bem.FAR_RULE[2])
+        nq = len(tier_rule("far")[1])
         kernel, tile = bem._potential_local, bem._far_tile
         sizes, pairs = [], []
 

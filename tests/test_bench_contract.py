@@ -9,7 +9,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from varcap import cli
+from varcap import bem, capacitance, cli, geometry
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -23,13 +23,25 @@ def load_bench(name):
 
 
 def test_traced_functions_exist():
+    # The spans read attributes of what the traced calls return: assembly's
+    # panel count, and each solve's method and iteration count.
     spans = load_bench("spans")
     originals = {(module, attr): getattr(module, attr) for module, attr, _ in spans.TRACED}
-    with spans.Tracer():
+    with spans.Tracer() as tracer:
         for (module, attr), original in originals.items():
             assert getattr(module, attr) is not original, attr
+        system = bem.assemble(geometry.build_panels(geometry.make_icosphere(1.0, 1)))
+        capacitance.solve_capacitance(system)
+        capacitance.solve_capacitance(system, method="cg")
     for (module, attr), original in originals.items():
         assert getattr(module, attr) is original, attr
+    attrs = {s.name: [] for s in tracer.spans}
+    for s in tracer.spans:
+        attrs[s.name].append(s.attrs)
+    assert attrs["bem.assemble"] == [{"entries": 80 * 80}]
+    direct, cg = attrs["capacitance.solve_capacitance"]
+    assert direct == {"method": "direct", "iterations": 0}
+    assert cg["method"] == "cg" and cg["iterations"] > 0
 
 
 def test_workload_command_lines_parse(monkeypatch, tmp_path):

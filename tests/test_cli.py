@@ -171,10 +171,11 @@ class TestSolve:
         )
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["schema"] == "capreport/7"
-        assert report["config"]["quad_order"] == 4
-        assert report["config"]["solver"] == "direct"
-        assert "seed" not in report["config"]
+        assert report["schema"] == "capreport/8"
+        assert report["config"] == {
+            "command": "solve", "mesh": None, "shape": "icosphere", "size": [1.0], "subdiv": 1,
+        }
+        assert "solve_iterations" not in report["diagnostics"]
         assert report["capacitance"]["C_over_4pi"] == pytest.approx(0.957, abs=0.01)
         assert report["capacitance"]["c_zeroth"] <= report["capacitance"]["C"]
         assert report["diagnostics"]["lambda_min_lower_bound"] > 0
@@ -323,10 +324,9 @@ class TestConverge:
         )
         assert code == EXIT_OK
         report = json.loads(out)
-        assert report["schema"] == "convreport/3"
+        assert report["schema"] == "convreport/4"
         assert report["config"] == {
-            "command": "converge", "shape": "cube", "size": [1.0],
-            "levels": [2, 4, 8], "quad_order": 4, "solver": "direct",
+            "command": "converge", "shape": "cube", "size": [1.0], "levels": [2, 4, 8],
         }
         assert [r["level"] for r in report["rows"]] == [2, 4, 8]
         caps = [r["C"] for r in report["rows"]]
@@ -337,7 +337,7 @@ class TestConverge:
         assert extra["limit"] / (4 * math.pi) == pytest.approx(0.66, abs=0.01)
 
     def test_computes_only_reported_values(self, capsys, monkeypatch):
-        # convreport/3 has no SPD diagnostics or subspace bounds per level.
+        # convreport/4 has no SPD diagnostics or subspace bounds per level.
         def unused(*args, **kwargs):
             raise AssertionError("converge computed a value it does not report")
 

@@ -236,6 +236,14 @@ class TestPanels:
             varcap.PanelSystem.from_triangles(corners)
         assert info.value.indices == [7]
 
+    def test_no_panels_rejected(self):
+        # Empty input is a format error for panels as for a mesh, not a
+        # numpy error from the degeneracy floor's empty max.
+        with pytest.raises(MeshFormatError, match="m >= 1"):
+            varcap.PanelSystem.from_triangles(np.empty((0, 3, 3)))
+        with pytest.raises(MeshFormatError, match="no triangles"):
+            varcap.SurfaceMesh(TET_VERTS.copy(), np.empty((0, 3), dtype=int))
+
     def test_far_translation_keeps_capacitance(self, solved):
         # The degeneracy floor ignores position, so a mesh far from the
         # origin is accepted and gives the same capacitance.
