@@ -40,6 +40,7 @@ from .errors import (
     DegenerateTriangleError,
     DimensionMismatchError,
     NonFiniteInputError,
+    SolveError,
 )
 from .geometry import PanelSystem, _checked_areas
 
@@ -530,8 +531,59 @@ def assemble(panels: PanelSystem, workers: int = 1) -> GalerkinSystem:
 
 
 # ---------------------------------------------------------------------------
-# SPD diagnostics
+# Positivity: one certified factorization
 # ---------------------------------------------------------------------------
+
+UNIT_ROUNDOFF = 2.0**-53
+ETA = 2.0**-1074  # smallest positive subnormal double
+
+
+def _certified_cholesky(mat: np.ndarray) -> tuple[tuple[np.ndarray, bool], float]:
+    """Cholesky factor of A - tau D, and a proven lower bound on lambda_min(A).
+
+    D = diag(A) and tau = 2 gamma_{n+1} n. The shift is relative to each
+    diagonal entry, so the proof, like plain Cholesky, does not depend on
+    how the rows of A are scaled: it is made for H = D^-1/2 A D^-1/2, whose
+    diagonal is 1. If the floating-point factorization of the shifted matrix
+    M runs to completion, Demmel's backward-error bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.3) gives
+    |dM_ij| <= gamma_{n+1} sqrt(m_ii m_jj) / (1 - gamma_{n+1}) with
+    m_ii <= d_i, so lambda_min(H) >= beta_H = s - gamma_{n+1} n / (1 - gamma_{n+1}),
+    where s = min_i (d_i - m_ii) / d_i is the shift actually stored, close to
+    tau. beta_H also deducts an allowance for underflow after Rump (BIT 46,
+    2006), and lambda_min(A) >= min(d) beta_H. The shift is made in place on
+    the one copy that is factored; only A's lower triangle is read. It is
+    the one proof of A_h > 0, for the direct solve and spd_check alike.
+    """
+    n = len(mat)
+    u = UNIT_ROUNDOFF
+    g = (n + 1) * u / (1.0 - (n + 1) * u)  # Higham's gamma_{n+1}
+    tau = 2.0 * g * n
+    diag = mat.diagonal()
+    shifted = diag * (1.0 - tau)
+    work = mat.copy()
+    np.fill_diagonal(work, shifted)
+    failed = SolveError(
+        f"shifted Cholesky could not prove A_h positive definite (tau = {tau:.6g})"
+    )
+    try:
+        # work.T is Fortran-ordered and its upper triangle is A's lower one,
+        # so LAPACK factors it in place without another copy.
+        factor = scipy.linalg.cho_factor(work.T, lower=False, overwrite_a=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise failed from exc
+    # The pivots were positive, so 0 < m_ii <= d_i and d_i - m_ii is exact
+    # (Sterbenz). Round the stored shift and beta down, and the deduction
+    # up, past the roundings of the lines below.
+    d_min = float(np.min(diag))
+    shift = float(np.min((diag - shifted) / diag)) * (1.0 - 2 * u)
+    underflow = 4 * (n + 1) * (2 * (n + 1) + float(np.max(shifted))) * ETA / d_min
+    deduction = (g * n / (1.0 - g) + underflow) * (1.0 + 16 * u)
+    beta = float(np.nextafter(d_min * (shift - deduction) * (1.0 - 4 * u), -np.inf))
+    if not beta > 0:
+        raise failed
+    return factor, beta
+
 
 @dataclass(frozen=True)
 class SpdReport:
@@ -540,17 +592,17 @@ class SpdReport:
 
 
 def spd_check(system: GalerkinSystem) -> SpdReport:
-    """Cholesky success plus the exact smallest eigenvalue.
+    """Whether _certified_cholesky proves A_h > 0, plus the exact smallest eigenvalue.
 
-    The eigenvalue comes from a dense symmetric eigensolver whether or not
-    the factorization succeeds, so it is exact to round-off either way; a
-    failed factorization (matrix not SPD within round-off) is a result.
+    The verdict is the direct solve's proof, so the two cannot disagree. The
+    eigenvalue comes from a dense symmetric eigensolver either way, so it is
+    exact to round-off; a failed proof is a result, not an error.
     """
     mat = system.matrix
     try:
-        scipy.linalg.cho_factor(mat, lower=True)
+        _certified_cholesky(mat)
         succeeded = True
-    except scipy.linalg.LinAlgError:
+    except SolveError:
         succeeded = False
     lam = scipy.linalg.eigh(mat, eigvals_only=True, subset_by_index=[0, 0])[0]
     return SpdReport(float(lam), succeeded)

@@ -3,8 +3,9 @@
 The equilibrium density solves A_h sigma = b where b is the panel-area
 vector (the weak form of "surface at potential 1"); the capacitance is
 C_h = b^T sigma. Trial densities give lower bounds on C_h through the
-Rayleigh quotient |b^T v|^2 / (v^T A_h v), and upper information through
-the Gauss energy-per-charge functional (v^T A_h v) / (b^T v)^2 >= 1/C_h.
+Rayleigh quotient |b^T v|^2 / (v^T A_h v), maximized over a span by
+_span_maximum alone, and upper information through the Gauss
+energy-per-charge functional (v^T A_h v) / (b^T v)^2 >= 1/C_h.
 They bound the true C only up to the quadrature error in A_h.
 The constant density yields the zeroth approximation
 C0 = 4 pi |S|^2 / J with J the double surface integral of 1/r.
@@ -12,14 +13,13 @@ C0 = 4 pi |S|^2 / J with J the double surface integral of 1/r.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .bem import FOUR_PI, GalerkinSystem
+from .bem import FOUR_PI, GalerkinSystem, _certified_cholesky
 from .errors import SolveError, VarcapError, ZeroTotalChargeError
 from .varprinciple import QuotientValue, _quotients, _vector
 
@@ -38,8 +38,6 @@ __all__ = [
 
 CG_RTOL = 1e-10
 SV_CUTOFF = 1e-12  # relative singular-value cutoff for rank-deficient Gram matrices
-UNIT_ROUNDOFF = 2.0**-53
-ETA = 2.0**-1074  # smallest positive subnormal double
 REFINE_STEPS = 5  # iterative-refinement steps after the shifted direct solve
 REFINE_RTOL = 1e-12  # scaled relative residual the refined direct solve must reach
 
@@ -66,52 +64,6 @@ class BoundLedger:
     subspace_bounds: tuple[tuple[str, float], ...]
     gauss_at_sigma: float
     capacitance: float
-
-
-def _certified_cholesky(mat: np.ndarray) -> tuple[tuple[np.ndarray, bool], float]:
-    """Cholesky factor of A - tau D, and a proven lower bound on lambda_min(A).
-
-    D = diag(A) and tau = 2 gamma_{n+1} n. The shift is relative to each
-    diagonal entry, so the proof, like plain Cholesky, does not depend on
-    how the rows of A are scaled: it is made for H = D^-1/2 A D^-1/2, whose
-    diagonal is 1. If the floating-point factorization of the shifted matrix
-    M runs to completion, Demmel's backward-error bound (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., Thm 10.3) gives
-    |dM_ij| <= gamma_{n+1} sqrt(m_ii m_jj) / (1 - gamma_{n+1}) with
-    m_ii <= d_i, so lambda_min(H) >= beta_H = s - gamma_{n+1} n / (1 - gamma_{n+1}),
-    where s = min_i (d_i - m_ii) / d_i is the shift actually stored, close to
-    tau. beta_H also deducts an allowance for underflow after Rump (BIT 46,
-    2006), and lambda_min(A) >= min(d) beta_H. The shift is made in place on
-    the one copy that is factored; only A's lower triangle is read.
-    """
-    n = len(mat)
-    u = UNIT_ROUNDOFF
-    g = (n + 1) * u / (1.0 - (n + 1) * u)  # Higham's gamma_{n+1}
-    tau = 2.0 * g * n
-    diag = mat.diagonal()
-    shifted = diag * (1.0 - tau)
-    work = mat.copy()
-    np.fill_diagonal(work, shifted)
-    failed = SolveError(
-        f"shifted Cholesky could not prove A_h positive definite (tau = {tau:.6g})"
-    )
-    try:
-        # work.T is Fortran-ordered and its upper triangle is A's lower one,
-        # so LAPACK factors it in place without another copy.
-        factor = scipy.linalg.cho_factor(work.T, lower=False, overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise failed from exc
-    # The pivots were positive, so 0 < m_ii <= d_i and d_i - m_ii is exact
-    # (Sterbenz). Round the stored shift and beta down, and the deduction
-    # up, past the roundings of the lines below.
-    d_min = float(np.min(diag))
-    shift = float(np.min((diag - shifted) / diag)) * (1.0 - 2 * u)
-    underflow = 4 * (n + 1) * (2 * (n + 1) + float(np.max(shifted))) * ETA / d_min
-    deduction = (g * n / (1.0 - g) + underflow) * (1.0 + 16 * u)
-    beta = float(np.nextafter(d_min * (shift - deduction) * (1.0 - 4 * u), -np.inf))
-    if not beta > 0:
-        raise failed
-    return factor, beta
 
 
 def solve_capacitance(system: GalerkinSystem, method: str = "direct") -> ChargeSolution:
@@ -150,17 +102,14 @@ def solve_capacitance(system: GalerkinSystem, method: str = "direct") -> ChargeS
             )
         iterations = 0
     elif method == "cg":
-        count = [0]
-
-        def cb(_):
-            count[0] += 1
-
+        steps = []  # one entry per CG iteration
         diag = mat.diagonal()
         precond = scipy.sparse.linalg.LinearOperator(
             (n, n), matvec=lambda x: x / diag
         )
         sigma, info = scipy.sparse.linalg.cg(
-            mat, b, rtol=CG_RTOL, atol=0.0, maxiter=10 * n, M=precond, callback=cb
+            mat, b, rtol=CG_RTOL, atol=0.0, maxiter=10 * n, M=precond,
+            callback=lambda _: steps.append(None),
         )
         res = b - mat @ sigma
         if info != 0:
@@ -168,7 +117,7 @@ def solve_capacitance(system: GalerkinSystem, method: str = "direct") -> ChargeS
                 f"CG did not converge in {10 * n} iterations (relative "
                 f"residual {np.linalg.norm(res) / np.linalg.norm(b):.3e})"
             )
-        iterations = count[0]
+        iterations = len(steps)
         lambda_bound = None
     else:
         raise VarcapError(f"unknown solver {method!r}; expected 'direct' or 'cg'")
@@ -189,7 +138,7 @@ def rayleigh_bound(system: GalerkinSystem, v) -> QuotientValue:
     convention and are flagged.
     """
     v = _vector(v, system.n, "v")
-    scale = float(np.max(np.abs(system.matrix)))
+    scale = float(max(system.matrix.max(), -system.matrix.min()))  # max|A_h|, no temporary
     values, degenerate = _quotients(system.matrix, system.areas, v[None], scale)
     return QuotientValue(float(values[0]), bool(degenerate[0]))
 
@@ -205,29 +154,18 @@ def gauss_functional(system: GalerkinSystem, v) -> float:
     return float(v @ system.matrix @ v) / (q * q)
 
 
-def zeroth_capacitance(system: GalerkinSystem) -> ZerothApproximation:
-    """Constant-density bound C0 = 4 pi |S|^2 / J, J the 1/r double integral."""
-    ones = np.ones(system.n)
-    energy = float(ones @ system.matrix @ ones)  # carries the 1/(4 pi) factor
-    j_integral = FOUR_PI * energy
-    c_zeroth = system.total_area**2 / energy
-    return ZerothApproximation(c_zeroth, j_integral)
+def _moments(system: GalerkinSystem, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g = V^T b and G = V^T A_h V for the columns V of ``basis``, one product with A_h."""
+    return basis.T @ system.areas, basis.T @ (system.matrix @ basis)
 
 
-def subspace_bound(system: GalerkinSystem, family) -> float:
-    """Exact maximum of the Rayleigh functional over span of the family.
+def _span_maximum(g: np.ndarray, gram: np.ndarray) -> float:
+    """Exact maximum of |b^T v|^2 / (v^T A_h v) over span V: g^T G^+ g, from _moments.
 
-    With g_i = b^T v_i and G_ij = v_i^T A_h v_j this is g^T G^{-1} g;
-    rank-deficient Gram matrices fall back to a truncated pseudo-solve.
+    G's eigenvalues up to SV_CUTOFF times the largest are dropped, so a
+    rank-deficient family gives the maximum over its span.
     """
-    vectors = [_vector(v, system.n, f"family[{k}]") for k, v in enumerate(family)]
-    if not vectors:
-        raise VarcapError("trial family is empty")
-    basis = np.column_stack(vectors)
-    g = basis.T @ system.areas
-    gram = basis.T @ (system.matrix @ basis)
-    gram = 0.5 * (gram + gram.T)
-    evals, evecs = np.linalg.eigh(gram)
+    evals, evecs = np.linalg.eigh(0.5 * (gram + gram.T))
     cutoff = SV_CUTOFF * float(evals[-1]) if evals[-1] > 0 else np.inf
     keep = evals > cutoff
     if not np.any(keep):
@@ -236,33 +174,47 @@ def subspace_bound(system: GalerkinSystem, family) -> float:
     return float(np.sum(coeffs[keep] ** 2 / evals[keep]))
 
 
+def zeroth_capacitance(system: GalerkinSystem) -> ZerothApproximation:
+    """Constant-density bound C0 = 4 pi |S|^2 / J over span{1}: J = 4 pi 1^T A_h 1."""
+    g, gram = _moments(system, np.ones((system.n, 1)))
+    return ZerothApproximation(_span_maximum(g, gram), FOUR_PI * float(gram[0, 0]))
+
+
+def subspace_bound(system: GalerkinSystem, family) -> float:
+    """Exact maximum of the Rayleigh functional over span of the family."""
+    vectors = [_vector(v, system.n, f"family[{k}]") for k, v in enumerate(family)]
+    if not vectors:
+        raise VarcapError("trial family is empty")
+    return _span_maximum(*_moments(system, np.column_stack(vectors)))
+
+
 def trial_families(centroids: np.ndarray) -> list[tuple[str, np.ndarray]]:
     """Nested built-in trial families: monomials in centroid coordinates.
 
     Returns (name, columns) pairs for span{1}, span{1, x, y, z} and the
-    full quadratic family, in nesting order. The coordinates are centred on
-    the mean centroid and divided by the largest centroid distance from it,
-    so the columns, and the bounds they give, do not depend on where the
-    conductor sits or how large it is.
+    quadratic family: leading slices of one 10-column array. The coordinates
+    are centred on the mean centroid and divided by the largest centroid
+    distance from it, so the columns, and the bounds they give, do not
+    depend on where the conductor sits or how large it is.
     """
     centred = centroids - centroids.mean(axis=0)
     x, y, z = (centred / (np.max(np.linalg.norm(centred, axis=1)) or 1.0)).T
-    one = np.ones(len(centroids))
-    linear = [one, x, y, z]
-    quadratic = linear + [x * x, y * y, z * z, x * y, y * z, z * x]
-    return [
-        ("constant", np.column_stack([one])),
-        ("linear", np.column_stack(linear)),
-        ("quadratic", np.column_stack(quadratic)),
-    ]
+    cols = np.column_stack([np.ones(len(centroids)), x, y, z,
+                            x * x, y * y, z * z, x * y, y * z, z * x])
+    return [("constant", cols[:, :1]), ("linear", cols[:, :4]), ("quadratic", cols)]
 
 
 def bound_ledger(system: GalerkinSystem, solution: ChargeSolution) -> BoundLedger:
-    """Collect the zeroth bound, nested subspace bounds and the Gauss value."""
+    """C0 (the constant family's bound), then the other families' bounds and the
+    Gauss value G_ss / (b^T sigma)^2 from one Gram matrix G of [monomials | sigma]."""
     zeroth = zeroth_capacitance(system)
-    bounds = tuple(
-        (name, subspace_bound(system, cols.T))
-        for name, cols in trial_families(system.centroids)
+    families = trial_families(system.centroids)
+    g, gram = _moments(system, np.column_stack([families[-1][1], solution.sigma]))
+    bounds = [("constant", zeroth.c_zeroth)]
+    for name, cols in families[1:]:
+        lead = slice(cols.shape[1])
+        bounds.append((name, _span_maximum(g[lead], gram[lead, lead])))
+    gauss = float(gram[-1, -1]) / float(g[-1]) ** 2
+    return BoundLedger(
+        zeroth.c_zeroth, zeroth.j_integral, tuple(bounds), gauss, solution.capacitance
     )
-    gauss = gauss_functional(system, solution.sigma)
-    return BoundLedger(zeroth.c_zeroth, zeroth.j_integral, bounds, gauss, solution.capacitance)

@@ -46,11 +46,7 @@ _ERROR_CODES = [
 
 
 def _error_payload(exc: Exception) -> tuple[int, dict]:
-    code = EXIT_USAGE
-    for etype, ecode in _ERROR_CODES:
-        if isinstance(exc, etype):
-            code = ecode
-            break
+    code = next((c for etype, c in _ERROR_CODES if isinstance(exc, etype)), EXIT_USAGE)
     detail = {"type": type(exc).__name__, "message": str(exc), "code": code}
     if isinstance(exc, NotWatertightError):
         detail["boundary_edges"] = [list(map(int, e)) for e in exc.boundary_edges]
@@ -61,7 +57,8 @@ def _error_payload(exc: Exception) -> tuple[int, dict]:
 
 
 def _emit(payload: dict, out_path, as_json: bool, text: str | None = None) -> None:
-    serialized = json.dumps(payload, indent=2, sort_keys=True)
+    # RFC 8259 has no NaN or Infinity: a report that would need them is an error.
+    serialized = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(serialized + "\n")

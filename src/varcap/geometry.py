@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -43,6 +42,11 @@ DEGENERATE_AREA_FACTOR = 1e-14
 WELD_FACTOR = 1e-9
 
 MAX_SUBDIVISIONS = 7
+
+# A binary STL facet record, 50 bytes: unit normal, corners, attribute count.
+STL_RECORD = np.dtype(
+    [("normal", "<f4", (3,)), ("corners", "<f4", (3, 3)), ("attribute", "<u2")]
+)
 
 
 def _area_vectors(corners: np.ndarray) -> np.ndarray:
@@ -113,16 +117,10 @@ class SurfaceMesh:
         )
         if np.any(counts != 2):
             per_edge = counts[inverse]
-            boundary = directed[per_edge < 2]
-            nonmanifold = directed[per_edge > 2]
-            raise NotWatertightError(
-                [tuple(e) for e in np.unique(np.sort(boundary, 1), axis=0)]
-                if len(boundary)
-                else [],
-                [tuple(e) for e in np.unique(np.sort(nonmanifold, 1), axis=0)]
-                if len(nonmanifold)
-                else [],
-            )
+            raise NotWatertightError(*(
+                [tuple(e) for e in np.unique(np.sort(edges, 1), axis=0)]
+                for edges in (directed[per_edge < 2], directed[per_edge > 2])
+            ))
         # Consistent orientation: each directed edge used exactly once.
         _, dcounts = np.unique(directed, axis=0, return_counts=True)
         if np.any(dcounts != 1):
@@ -248,8 +246,6 @@ def make_icosphere(radius: float, subdivisions: int) -> SurfaceMesh:
             [a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1
         ).reshape(-1, 3)
     verts *= radius / np.linalg.norm(verts, axis=1)[:, None]
-    if _signed_volume(verts, faces) < 0:
-        faces = faces[:, [0, 2, 1]]
     return SurfaceMesh(verts, faces)
 
 
@@ -376,18 +372,16 @@ def _load_stl_ascii(path: str, data: bytes) -> SurfaceMesh:
 def _load_stl_binary(path: str, data: bytes) -> SurfaceMesh:
     if len(data) < 84:
         raise MeshFormatError(f"{path}: binary STL shorter than its header")
-    (count,) = struct.unpack_from("<I", data, 80)
+    count = int.from_bytes(data[80:84], "little")
     if count == 0:
         raise MeshFormatError(f"{path}: binary STL declares zero facets")
-    expected = 84 + 50 * count
+    expected = 84 + STL_RECORD.itemsize * count
     if len(data) < expected:
         raise MeshFormatError(
             f"{path}: truncated binary STL ({len(data)} bytes, expected {expected})"
         )
-    records = np.frombuffer(data, dtype=np.uint8, count=50 * count, offset=84)
-    records = records.reshape(count, 50)
-    floats = records[:, :48].copy().view("<f4").reshape(count, 4, 3)
-    raw = floats[:, 1:, :].reshape(-1, 3).astype(np.float64)
+    records = np.frombuffer(data, dtype=STL_RECORD, count=count, offset=84)
+    raw = records["corners"].astype(np.float64).reshape(-1, 3)
     tris = np.arange(len(raw), dtype=np.int64).reshape(-1, 3)
     return _weld(raw, tris)
 
@@ -403,7 +397,7 @@ def load_mesh(path: str) -> SurfaceMesh:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) == 84 + 50 * int.from_bytes(data[80:84], "little"):
+    if len(data) == 84 + STL_RECORD.itemsize * int.from_bytes(data[80:84], "little"):
         return _load_stl_binary(path, data)
     if data.startswith(b"solid"):
         return _load_stl_ascii(path, data)
@@ -426,14 +420,10 @@ def save_stl(mesh: SurfaceMesh, path: str) -> None:
     corners = mesh.vertices[mesh.triangles]
     normals = _area_vectors(corners)
     lengths = np.linalg.norm(normals, axis=1)
-    normals = normals / np.where(lengths > 0, lengths, 1.0)[:, None]
-    count = len(corners)
+    records = np.zeros(len(corners), dtype=STL_RECORD)
+    records["normal"] = normals / np.where(lengths > 0, lengths, 1.0)[:, None]
+    records["corners"] = corners
     with open(path, "wb") as fh:
         fh.write(b"varcap binary STL".ljust(80, b" "))
-        fh.write(struct.pack("<I", count))
-        rec = np.zeros((count, 50), dtype=np.uint8)
-        block = np.concatenate(
-            [normals[:, None, :], corners], axis=1
-        ).astype("<f4")
-        rec[:, :48] = np.ascontiguousarray(block.reshape(count, 12)).view(np.uint8)
-        fh.write(rec.tobytes())
+        fh.write(len(records).to_bytes(4, "little"))
+        fh.write(records.tobytes())

@@ -72,20 +72,24 @@ class SymmetricForm:
             raise DimensionMismatchError(f"matrix must be square, got shape {m.shape}")
         if m.shape[0] < 1:
             raise DimensionMismatchError("matrix must have dimension >= 1")
-        if not np.all(np.isfinite(m)):
-            raise NonFiniteInputError("matrix contains non-finite entries")
-        scale = float(np.max(np.abs(m)))
-        asym = float(np.max(np.abs(m - m.T)))
+        # Non-finite or overflowing values are errors, not NaN in a report.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = float(np.max(np.abs(m)))
+            asym = float(np.max(np.abs(m - m.T)))
+            sym = 0.5 * (m + m.T)
         if scale > 0 and asym > 1e-8 * scale:
             raise AsymmetricMatrixError(
                 f"matrix asymmetry {asym:.3e} exceeds 1.0e-08 * max|entry|"
             )
-        sym = 0.5 * (m + m.T)
+        if not np.all(np.isfinite(sym)):
+            raise NonFiniteInputError("matrix is not finite, or overflows when symmetrized")
         sym.setflags(write=False)
         try:
             evals = np.linalg.eigvalsh(sym)
         except np.linalg.LinAlgError as exc:
             raise NonFiniteInputError(f"eigendecomposition failed: {exc}") from exc
+        if not np.all(np.isfinite(evals)):
+            raise NonFiniteInputError("eigenvalues overflow the double range")
         evals.setflags(write=False)
         norm = float(max(evals[-1], -evals[0]))
         return cls(sym, sym.shape[0], norm, evals)
@@ -168,8 +172,9 @@ def _quotients(matrix: np.ndarray, au: np.ndarray, vs: np.ndarray, scale: float)
     A row is degenerate, and its value 0, when |v.Av| <= DENOM_EPS scale |v|^2:
     the paper's convention for (Av, v) = 0. quotient, verify_principle,
     find_witness and capacitance.rayleigh_bound evaluate their quotients
-    here; zeroth_capacitance (Q(1)), subspace_bound (the maximum over a
-    span, in closed form) and gauss_functional (1/Q) compute theirs apart.
+    here. The maximum over a span of trial densities has a closed form,
+    which capacitance._span_maximum alone evaluates (zeroth_capacitance,
+    subspace_bound and bound_ledger); gauss_functional is 1/Q.
     """
     denoms = np.einsum("ij,ij->i", vs, vs @ matrix)
     degenerate = np.abs(denoms) <= DENOM_EPS * scale * np.einsum("ij,ij->i", vs, vs)
@@ -245,9 +250,8 @@ def find_witness(form: SymmetricForm, u) -> Optional[IndefinitenessWitness]:
     lam_star = float(lams[k])
     v_star = lam_star * z + w
     q_star = quotient(form, u, v_star).value
-    z.setflags(write=False)
-    w.setflags(write=False)
-    v_star.setflags(write=False)
+    for arr in (z, w, v_star):
+        arr.setflags(write=False)
     return IndefinitenessWitness(
         z, w, a, b, c, lambda1, lambda2, lam_star, v_star, q_star
     )
@@ -264,10 +268,13 @@ def verify_principle(
     """
     u = _vector(u, form.n, "u")
     if random_trials < 1:
-        raise ValueError(f"random_trials must be >= 1, got {random_trials}")
+        raise VarcapError(f"random_trials must be >= 1, got {random_trials}")
     cls = classify(form)
-    au = form.matrix @ u
-    qfu = float(u @ au)
+    with np.errstate(over="ignore", invalid="ignore"):
+        au = form.matrix @ u
+        qfu = float(u @ au)
+    if not math.isfinite(qfu):
+        raise NonFiniteInputError(f"(Au, u) = {qfu} overflows the double range")
     at_u = float(_quotients(form.matrix, au, u[None], form.norm)[0][0])
     best = at_u
 

@@ -31,6 +31,8 @@ def test_traced_functions_exist():
         for (module, attr), original in originals.items():
             assert getattr(module, attr) is not original, attr
         system = bem.assemble(geometry.build_panels(geometry.make_icosphere(1.0, 1)))
+        # No workload calls spd_check, so its span is checked here.
+        assert bem.spd_check(system).cholesky_succeeded
         capacitance.solve_capacitance(system)
         capacitance.solve_capacitance(system, method="cg")
     for (module, attr), original in originals.items():
@@ -39,6 +41,7 @@ def test_traced_functions_exist():
     for s in tracer.spans:
         attrs[s.name].append(s.attrs)
     assert attrs["bem.assemble"] == [{"entries": 80 * 80}]
+    assert attrs["bem.spd_check"] == [{}]
     direct, cg = attrs["capacitance.solve_capacitance"]
     assert direct == {"method": "direct", "iterations": 0}
     assert cg["method"] == "cg" and cg["iterations"] > 0

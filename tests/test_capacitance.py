@@ -1,6 +1,7 @@
 """Capacitance solve, variational bounds and their algebraic identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,23 @@ class TestSolve:
         with pytest.raises(SolveError, match="could not prove A_h positive definite"):
             solve_capacitance(moved)
 
+    def test_spd_check_agrees_with_solve(self, solved):
+        # lambda_min = 1.4e-15 > 0, far below the certified shift tau (about
+        # 1.4e-12 of the diagonal): plain Cholesky would factor it, but
+        # neither spd_check nor the solve can prove A_h > 0, as both rest on
+        # the one certified factorization.
+        system = solved("sphere1").system
+        lam = np.linalg.eigvalsh(system.matrix)[0]
+        shifted = varcap.GalerkinSystem(
+            system.matrix - (lam - 1.4e-15) * np.eye(system.n),
+            system.areas, system.total_area, 0.0, system.centroids,
+        )
+        report = varcap.spd_check(shifted)
+        assert report.min_eigenvalue == pytest.approx(1.4e-15, rel=0.01)
+        assert not report.cholesky_succeeded
+        with pytest.raises(SolveError, match="could not prove A_h positive definite"):
+            solve_capacitance(shifted)
+
     def test_stalled_refinement_raises(self, solved):
         # lambda_min = 2 tau: the shift is proven, but refinement against A_h
         # shrinks the error along the lowest mode by tau / (lambda_min - tau)
@@ -213,6 +231,18 @@ class TestFunctionals:
             v = rng.standard_normal(sm.system.n)
             expected = varcap.quotient(form, sm.solution.sigma, v).value
             assert rayleigh_bound(sm.system, v).value == pytest.approx(expected, rel=1e-12)
+
+    def test_rayleigh_allocates_no_matrix_copy(self, solved):
+        # The degeneracy scale max|A_h| is read without an m x m temporary.
+        sm = solved("sphere3")
+        v = sm.solution.sigma.copy()
+        tracemalloc.start()
+        try:
+            rayleigh_bound(sm.system, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * sm.system.matrix.nbytes, peak / sm.system.matrix.nbytes
 
     def test_rayleigh_zero_density_is_degenerate(self, solved):
         system = solved("sphere2").system
@@ -336,6 +366,11 @@ class TestSubspaceBounds:
         with pytest.raises(VarcapError):
             subspace_bound(sm.system, [])
 
+    def test_all_zero_family_is_degenerate(self, solved):
+        system = solved("sphere1").system
+        with pytest.raises(VarcapError, match="degenerate"):
+            subspace_bound(system, [np.zeros(system.n), np.zeros(system.n)])
+
 
 class TestBoundLedger:
     def test_ledger_is_consistent(self, solved):
@@ -353,6 +388,28 @@ class TestBoundLedger:
         assert ledger.gauss_at_sigma == pytest.approx(1.0 / c, rel=1e-12)
         zeroth = zeroth_capacitance(sm.system)
         assert (ledger.c_zeroth, ledger.j_integral) == (zeroth.c_zeroth, zeroth.j_integral)
+
+    def test_ledger_makes_two_products_with_the_matrix(self, solved):
+        # One product for the zeroth bound, one for every other bound and
+        # the Gauss value: A_h is read twice, however many families there are.
+        class Counted(np.ndarray):
+            products = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    Counted.products += 1
+                inputs = [np.asarray(x) for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        sm = solved("cube4")
+        system = sm.system
+        counted = varcap.GalerkinSystem(
+            system.matrix.view(Counted), system.areas, system.total_area,
+            system.asymmetry_norm, system.centroids,
+        )
+        ledger = bound_ledger(counted, sm.solution)
+        assert Counted.products == 2
+        assert ledger == bound_ledger(system, sm.solution)
 
 
 class TestLowerBound:

@@ -18,6 +18,7 @@ from varcap.cli import (
     EXIT_PRINCIPLE,
     EXIT_USAGE,
     SHAPES,
+    _emit,
     _shape_config,
     build_parser,
     main,
@@ -358,7 +359,7 @@ class TestConverge:
         assert json.loads(out)["extrapolation"] is None
 
     def test_bad_levels(self, capsys):
-        for levels in ("4", "4,6,8"):
+        for levels in ("4", "4,6,8", "2,x"):
             code, out = run_cli(
                 capsys, "converge", "--shape", "cube", "--levels", levels, "--json"
             )
@@ -413,6 +414,28 @@ class TestVerifyPrinciple:
         assert report["classification"] == "nonneg"
         assert report["consistent"] is True
 
+    @pytest.mark.parametrize(
+        "matrix, u",
+        [
+            # 0.5 (m + m.T) overflows; the report said "nonneg" with NaN values.
+            ([[1e308, 0.0], [0.0, -1e308]], [1.0, 1.0]),
+            # (Au, u) overflows; the report said Infinity and "consistent": true.
+            ([[2.0, 1.0], [1.0, 2.0]], [1e200, 1e200]),
+        ],
+        ids=["symmetrize-overflow", "quadratic-form-overflow"],
+    )
+    def test_overflow_is_an_error_not_nan(self, matrix, u, tmp_path, capsys):
+        path = self.write_form(tmp_path, matrix, u)
+        code, out = run_cli(capsys, "verify-principle", "--input", path)
+        assert code == EXIT_USAGE
+        payload = json.loads(out)
+        assert payload["schema"] == "caperror/1"
+        assert payload["error"]["type"] == "NonFiniteInputError"
+
+    def test_reports_are_strict_json(self):
+        with pytest.raises(ValueError):
+            _emit({"C": math.nan}, None, True)
+
     def test_bad_schema(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": "other/1"}))
@@ -430,10 +453,11 @@ class TestVerifyPrinciple:
             {"schema": "symform/1", "matrix": [["2.0", 0.0], [0.0, "1"]], "u": [1.0, 1.0]},
             {"schema": "symform/1", "matrix": [[2.0, 0.0], [0.0, 1.0]], "u": [1.0, "1.0"]},
             {"schema": "symform/1", "matrix": [[True, False], [False, True]], "u": [1.0, 1.0]},
+            {"schema": "symform/1", "matrix": [[1.0]]},
         ],
         ids=[
             "not-an-object", "ragged-matrix", "text-matrix", "text-u",
-            "numeric-string-matrix", "numeric-string-u", "boolean-matrix",
+            "numeric-string-matrix", "numeric-string-u", "boolean-matrix", "no-u",
         ],
     )
     def test_malformed_input_is_a_varcap_error(self, payload, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Mesh generators, validation, panel extraction and file round-trips."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from varcap.errors import (
     MeshFormatError,
     NonFiniteInputError,
     NotWatertightError,
+    VarcapError,
 )
 from varcap.geometry import _icosahedron, _signed_volume, _weld
 
@@ -284,6 +286,27 @@ class TestFileRoundTrips:
         back = np.sort(loaded.vertices.reshape(-1, 3), axis=0)
         np.testing.assert_allclose(back, orig, atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "mesh, digest",
+        [
+            (lambda: varcap.make_icosphere(1.0, 2),
+             "092b9f4c9bf484b18cb253e5d2dae8ef70809f56642e805518eec17e9cb968b7"),
+            (lambda: varcap.make_cube(1.0, 4),
+             "b87fc9253493dc2774655607af932c94f2151558785666c5fa849711507bae62"),
+        ],
+        ids=["icosphere2", "cube4"],
+    )
+    def test_stl_binary_bytes_pinned(self, tmp_path, mesh, digest):
+        # The STL record layout lives in one dtype; the files it writes keep
+        # their bytes, and loading gives back each corner rounded to float32.
+        mesh = mesh()
+        path = tmp_path / "mesh.stl"
+        varcap.save_stl(mesh, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        loaded = varcap.load_mesh(str(path))
+        expected = mesh.vertices[mesh.triangles].astype(np.float32).astype(np.float64)
+        assert loaded.vertices[loaded.triangles].tobytes() == expected.tobytes()
+
     def test_stl_ascii_load(self, tmp_path):
         path = tmp_path / "tet.stl"
         lines = ["solid tet"]
@@ -324,3 +347,50 @@ class TestFileRoundTrips:
         trunc.write_bytes(b"\x00" * 90)
         with pytest.raises(MeshFormatError, match="zero facets"):
             varcap.load_mesh(str(trunc))
+
+
+def load_text(tmp_path, name, content):
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return varcap.load_mesh(str(path))
+
+
+TRIANGLE_OBJ = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+STL_FACET = "solid s\nfacet normal 0 0 1\nouter loop\n"
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda _: varcap.make_ellipsoid(1.0, 0.0, 1.0, 1), VarcapError, "semiaxes"),
+        (lambda _: varcap.SurfaceMesh(np.zeros((4, 2)), TET_TRIS.copy()),
+         MeshFormatError, r"vertices must be an \(n, 3\)"),
+        (lambda _: varcap.SurfaceMesh(TET_VERTS.copy(), np.zeros((1, 4), dtype=int)),
+         MeshFormatError, r"triangles must be an \(m, 3\)"),
+        (lambda _: varcap.PanelSystem.from_triangles(np.full((1, 3, 3), np.nan)),
+         NonFiniteInputError, "non-finite"),
+        (lambda t: load_text(t, "a.obj", "v 0 0 x\n"), MeshFormatError, "bad vertex coordinate"),
+        (lambda t: load_text(t, "a.obj", TRIANGLE_OBJ + "f 1 a 3\n"),
+         MeshFormatError, "bad face index"),
+        (lambda t: load_text(t, "a.obj", TRIANGLE_OBJ + "f 1 2\n"),
+         MeshFormatError, "< 3 vertices"),
+        (lambda t: load_text(t, "a.obj", "# empty\n"), MeshFormatError, "no geometry"),
+        (lambda t: load_text(t, "a.stl", STL_FACET + "vertex 0 0\n"),
+         MeshFormatError, "malformed vertex line"),
+        (lambda t: load_text(t, "a.stl", STL_FACET + "vertex 0 0 y\n"),
+         MeshFormatError, "bad coordinate"),
+        (lambda t: load_text(t, "a.stl", bytes(50)), MeshFormatError, "shorter than its header"),
+    ],
+    ids=[
+        "ellipsoid-semiaxis", "vertices-n2", "triangles-m4", "panels-nan",
+        "obj-coordinate", "obj-face-index", "obj-two-vertex-face", "obj-no-geometry",
+        "stl-short-vertex", "stl-coordinate", "stl-50-bytes",
+    ],
+)
+def test_input_checks_raise(tmp_path, build, error, match):
+    # One case for each input check that no other test reaches.
+    with pytest.raises(error, match=match):
+        build(tmp_path)

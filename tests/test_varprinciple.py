@@ -14,6 +14,7 @@ from varcap.errors import (
     AsymmetricMatrixError,
     DimensionMismatchError,
     NonFiniteInputError,
+    VarcapError,
 )
 from varcap.varprinciple import APPROACH_FACTOR, SWEEP_STEPS
 
@@ -216,3 +217,33 @@ class TestDeterminism:
         r2 = verify_principle(form, u, seed=42)
         assert r1.best_quotient == r2.best_quotient
         assert r1.quadratic_form_at_u == r2.quadratic_form_at_u
+
+
+IDENTITY = SymmetricForm.from_matrix(np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: SymmetricForm.from_matrix(np.zeros((0, 0))), DimensionMismatchError,
+         "dimension >= 1"),
+        (lambda: quotient(IDENTITY, [1.0, 1.0], [np.nan, 1.0]), NonFiniteInputError, "v "),
+        (lambda: verify_principle(IDENTITY, [1.0, 1.0], random_trials=0), VarcapError,
+         "random_trials"),
+        # m + m.T overflows, and eigvalsh would return NaN.
+        (lambda: SymmetricForm.from_matrix(np.diag([1e308, -1e308])), NonFiniteInputError,
+         "symmetrized"),
+        # The entries are finite, their largest eigenvalue 2.1e308 is not.
+        (lambda: SymmetricForm.from_matrix(np.full((3, 3), 7e307)), NonFiniteInputError,
+         "eigenvalues"),
+        (lambda: verify_principle(IDENTITY, [1e200, 1e200]), NonFiniteInputError, r"\(Au, u\)"),
+    ],
+    ids=[
+        "empty-matrix", "quotient-nan-v", "no-random-trials", "symmetrize-overflow",
+        "eigenvalue-overflow", "quadratic-form-overflow",
+    ],
+)
+def test_input_checks_raise(call, error, match):
+    # Each input check raises a VarcapError, so the CLI maps it to exit 2.
+    with pytest.raises(error, match=match):
+        call()
