@@ -14,12 +14,13 @@ The potential is evaluated in the source triangle's own frame: a point's
 coordinates (u, v, h) there and its distances d_k from the sides' lines
 are affine in the point, so the outer rule's values are interpolated from
 the outer triangle's corners with the rule's barycentric table.
-Every entry is written once, divided by 4 pi, into the upper triangle:
-the far field and the near ring evaluate each pair (i, j), i < j, once;
-touching pairs are evaluated in both directions, whose difference is
-recorded before the mean is written. One mirror then copies the upper
-triangle to the lower, so A_h is exactly symmetric. No kernel call takes
-more than POINTS_PER_CALL points, no far-field tile nq times as many pairs.
+Entries are written, divided by 4 pi, into the upper triangle in a fixed
+order: the far tiles write every pair (i, j), i < j, and the refined tiers
+overwrite theirs, a separated pair from one direction and a touching pair
+as the mean of both, whose difference is recorded. One mirror then copies
+the upper triangle to the lower, so A_h is exactly symmetric. No kernel
+call takes more than POINTS_PER_CALL points, no far-field tile nq times as
+many pairs.
 """
 
 from __future__ import annotations
@@ -307,18 +308,17 @@ def _rule_table(rule) -> tuple[np.ndarray, np.ndarray]:
     return _duffy_rule(*rule) if isinstance(rule, Duffy) else rule
 
 
-def _self_integrals(corners: np.ndarray, areas: np.ndarray) -> np.ndarray:
+def _self_integrals(dims: np.ndarray, areas: np.ndarray) -> np.ndarray:
     """Closed-form integral of 1/|s - t| over each panel times itself.
 
     (4 A^2 / 3) sum over sides l of ln(P / (P - 2 l)) / l, with P the
     perimeter (Arcioni, Bressan & Perregrini, IEEE T-MTT 45(3), 1997);
-    P - 2 l is taken as the difference of the other two sides' sum and l.
+    P - 2 l is the other two sides' sum less l. ``dims`` is _frames' table.
     """
-    sides = np.sqrt(np.sum((corners[:, [1, 2, 0]] - corners[:, [2, 0, 1]]) ** 2, axis=2))
-    a, b, c = sides.T
+    a, b, c = sides = dims[:3, :, 0]
     rest = np.column_stack([b + c - a, c + a - b, a + b - c])
     perimeter = (a + b + c)[:, None]
-    return (4.0 / 3.0) * areas**2 * np.sum(np.log(perimeter / rest) / sides, axis=1)
+    return (4.0 / 3.0) * areas**2 * np.sum(np.log(perimeter / rest) / sides.T, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +407,16 @@ def _refined_pairs(corners: np.ndarray, centroids: np.ndarray) -> dict:
     return classes
 
 
-def _refined_entries(corners, areas, rows, srcs, perms, pts_bary, wts) -> np.ndarray:
+def _refined_entries(corners, areas, frames, rows, srcs, perms, pts_bary, wts) -> np.ndarray:
     """Entries (rows, srcs), divided by 4 pi, from a refined outer rule.
 
-    ``perms`` permutes each outer triangle's corners so the shared feature
-    sits where the graded rule expects it. Each entry's weighted sum is a
-    row sum of its own values, so it does not depend on the entry's place in
-    a chunk or on the order of the pairs. Each kernel call takes a chunk of
-    pairs with at most POINTS_PER_CALL outer points.
+    ``frames`` is _frames(corners). ``perms`` permutes each outer triangle's
+    corners so the shared feature sits where the graded rule expects it.
+    Each entry's weighted sum is a row sum of its own values, so it does not
+    depend on its place in a chunk or on the order of the pairs. Each kernel
+    call takes a chunk of pairs with at most POINTS_PER_CALL outer points.
     """
-    origin, axes, dims = _frames(corners)
+    origin, axes, dims = frames
     out = np.empty(len(rows))
     chunk = max(1, POINTS_PER_CALL // len(wts))
     for s in range(0, len(rows), chunk):
@@ -455,10 +455,10 @@ def assemble(panels: PanelSystem, workers: int = 1) -> GalerkinSystem:
     """Assemble the dense Galerkin matrix of the single-layer operator.
 
     Entry (i, j) approximates the double integral of 1/(4 pi |s - t|) over
-    panels i and j. The result is bitwise independent of ``workers``: the
-    per-entry quadrature sums use a fixed point order and each entry is
-    written exactly once. Raises DegenerateTriangleError for two panels with
-    the same corners, before any entry is computed.
+    panels i and j. The result is bitwise independent of ``workers``: each
+    entry's sum has a fixed point order, and the refined tiers overwrite far
+    entries after every far tile is written. Raises DegenerateTriangleError
+    for two panels with the same corners, before any entry is computed.
     """
     corners = panels.corners
     areas = panels.areas
@@ -494,8 +494,9 @@ def assemble(panels: PanelSystem, workers: int = 1) -> GalerkinSystem:
     stats[far.name] = ClassStats(m * (m - 1) // 2, nq * nq, time.perf_counter() - start)
 
     start = time.perf_counter()
+    frames = _frames(corners)  # read by the diagonal and every refined tier
     diag = np.arange(m)
-    matrix[diag, diag] = _self_integrals(corners, areas) / FOUR_PI
+    matrix[diag, diag] = _self_integrals(frames[2], areas) / FOUR_PI
     stats["self"] = ClassStats(m, 0, time.perf_counter() - start)
 
     # Refined pairs overwrite the far field's (i, j), i < j. A separated pair
@@ -508,7 +509,7 @@ def assemble(panels: PanelSystem, workers: int = 1) -> GalerkinSystem:
         i, j, perm_i, perm_j = refined[tier.name]
         directions = [(i, j, perm_i), (j, i, perm_j)][: 2 if tier.shared else 1]
         rows, srcs, perms = (np.concatenate(part) for part in zip(*directions))
-        vals = _refined_entries(corners, areas, rows, srcs, perms, pts, wts)
+        vals = _refined_entries(corners, areas, frames, rows, srcs, perms, pts, wts)
         vals = vals.reshape(len(directions), -1)
         asym = max(asym, float(np.max(np.abs(vals[0] - vals[-1]), initial=0.0)))
         matrix[i, j] = vals.mean(axis=0)

@@ -49,8 +49,7 @@ def _error_payload(exc: Exception) -> tuple[int, dict]:
     code = next((c for etype, c in _ERROR_CODES if isinstance(exc, etype)), EXIT_USAGE)
     detail = {"type": type(exc).__name__, "message": str(exc), "code": code}
     if isinstance(exc, NotWatertightError):
-        detail["boundary_edges"] = [list(map(int, e)) for e in exc.boundary_edges]
-        detail["nonmanifold_edges"] = [list(map(int, e)) for e in exc.nonmanifold_edges]
+        detail.update(boundary_edges=exc.boundary_edges, nonmanifold_edges=exc.nonmanifold_edges)
     if isinstance(exc, DegenerateTriangleError):
         detail["indices"] = [int(i) for i in exc.indices]
     return code, {"schema": "caperror/1", "error": detail}
@@ -58,7 +57,9 @@ def _error_payload(exc: Exception) -> tuple[int, dict]:
 
 def _emit(payload: dict, out_path, as_json: bool, text: str | None = None) -> None:
     # RFC 8259 has no NaN or Infinity: a report that would need them is an error.
-    serialized = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    serialized = json.dumps(
+        payload, indent=2, sort_keys=True, allow_nan=False, default=np.ndarray.tolist
+    )
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(serialized + "\n")
@@ -119,6 +120,7 @@ def _mesh_source(args) -> tuple[geometry.SurfaceMesh, dict]:
 
 
 def _solve_pipeline(mesh, workers):
+    """Panels, A_h and the direct solve of one mesh, with each step's seconds."""
     t0 = time.perf_counter()
     panels = geometry.build_panels(mesh)
     t1 = time.perf_counter()
@@ -126,17 +128,13 @@ def _solve_pipeline(mesh, workers):
     t2 = time.perf_counter()
     # The direct solve's one Cholesky factorization also proves A_h > 0.
     solution = capacitance.solve_capacitance(system)
-    t3 = time.perf_counter()
-    ledger = capacitance.bound_ledger(system, solution)
-    t4 = time.perf_counter()
     timings = {
         "build_panels_s": t1 - t0,
         "assemble_s": t2 - t1,
-        "solve_s": t3 - t2,
-        "bounds_s": t4 - t3,
+        "solve_s": time.perf_counter() - t2,
         **{f"assemble_{name}_s": s.seconds for name, s in system.assembly.items()},
     }
-    return panels, system, solution, ledger, timings
+    return panels, system, solution, timings
 
 
 def _solve_report(config, mesh, panels, system, solution, ledger, timings) -> dict:
@@ -218,7 +216,10 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     mesh, config = _mesh_source(args)
-    panels, system, solution, ledger, timings = _solve_pipeline(mesh, args.workers)
+    panels, system, solution, timings = _solve_pipeline(mesh, args.workers)
+    start = time.perf_counter()
+    ledger = capacitance.bound_ledger(system, solution)
+    timings["bounds_s"] = time.perf_counter() - start
     report = _solve_report(config, mesh, panels, system, solution, ledger, timings)
     _emit(report, args.out, args.json, _solve_text(report))
     return EXIT_OK
@@ -271,9 +272,8 @@ def cmd_converge(args) -> int:
     # convreport/4 carries C and C0 per level, so no SPD check or bound ledger.
     rows = []
     for level in levels:
-        panels = geometry.build_panels(_build_shape(config, level))
-        system = bem.assemble(panels, workers=args.workers)
-        c = capacitance.solve_capacitance(system).capacitance
+        panels, system, solution, _ = _solve_pipeline(_build_shape(config, level), args.workers)
+        c = solution.capacitance
         rows.append(
             {
                 "level": level,
@@ -310,15 +310,6 @@ def cmd_converge(args) -> int:
     return EXIT_OK
 
 
-def _witness_payload(witness) -> dict | None:
-    if witness is None:
-        return None
-    return {
-        name: value.tolist() if isinstance(value, np.ndarray) else value
-        for name, value in vars(witness).items()
-    }
-
-
 def cmd_verify_principle(args) -> int:
     # orjson reads strict RFC 8259 UTF-8 (no BOM, NaN or Infinity; a number
     # that overflows a double is an error) and converts decimals to the same
@@ -350,7 +341,7 @@ def cmd_verify_principle(args) -> int:
         "attained_at_u": report.attained_at_u,
         "principle_holds_on_probes": report.holds_on_probes,
         "consistent": report.consistent,
-        "witness": _witness_payload(report.witness),
+        "witness": report.witness and vars(report.witness),
     }
     _emit(out, args.out, True)
     return EXIT_OK if report.consistent else EXIT_PRINCIPLE

@@ -38,7 +38,7 @@ __all__ = [
 # Relative area floor below which a triangle counts as degenerate.
 DEGENERATE_AREA_FACTOR = 1e-14
 
-# Vertex weld tolerance for STL ingestion, relative to the bbox diagonal.
+# Vertex weld tolerance for every mesh file format, relative to the bbox diagonal.
 WELD_FACTOR = 1e-9
 
 MAX_SUBDIVISIONS = 7
@@ -118,7 +118,7 @@ class SurfaceMesh:
         if np.any(counts != 2):
             per_edge = counts[inverse]
             raise NotWatertightError(*(
-                [tuple(e) for e in np.unique(np.sort(edges, 1), axis=0)]
+                [tuple(e) for e in np.unique(np.sort(edges, 1), axis=0).tolist()]
                 for edges in (directed[per_edge < 2], directed[per_edge > 2])
             ))
         # Consistent orientation: each directed edge used exactly once.
@@ -296,20 +296,24 @@ def make_ellipsoid(a: float, b: float, c: float, subdivisions: int) -> SurfaceMe
 # ---------------------------------------------------------------------------
 
 def _weld(raw_vertices: np.ndarray, raw_triangles: np.ndarray) -> SurfaceMesh:
-    """Merge duplicate vertices within the weld tolerance (quantized grid)."""
-    lo = raw_vertices.min(axis=0)
-    hi = raw_vertices.max(axis=0)
-    diag = float(np.linalg.norm(hi - lo))
-    tol = WELD_FACTOR * diag if diag > 0 else WELD_FACTOR
-    keys = np.round(raw_vertices / tol).astype(np.int64)
-    # Each welded vertex keeps the coordinates of its first occurrence.
-    _, first, inverse = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
-    )
-    return SurfaceMesh(raw_vertices[first], inverse.reshape(-1)[raw_triangles])
+    """Merge vertices within WELD_FACTOR of the bbox diagonal (quantized grid).
+
+    Each welded vertex keeps its first occurrence's coordinates and place.
+    The keys stay floats: as int64 they would overflow far from the origin.
+    """
+    lo, hi = raw_vertices.min(axis=0), raw_vertices.max(axis=0)
+    with np.errstate(invalid="ignore"):
+        diag = float(np.linalg.norm(hi - lo))
+        tol = WELD_FACTOR * diag if diag > 0 else WELD_FACTOR
+        keys = np.round(raw_vertices / tol)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    # Number the welded vertices by first occurrence, not by sorted key.
+    order = np.argsort(first)
+    renumber = np.argsort(order)[inverse.reshape(-1)]
+    return SurfaceMesh(raw_vertices[first[order]], renumber[raw_triangles])
 
 
-def _load_obj(path: str, data: bytes) -> SurfaceMesh:
+def _load_obj(path: str, data: bytes) -> tuple[np.ndarray, np.ndarray]:
     verts = []
     tris = []
     for lineno, line in enumerate(data.splitlines(), 1):
@@ -340,10 +344,12 @@ def _load_obj(path: str, data: bytes) -> SurfaceMesh:
                 tris.append((idx[0], idx[k], idx[k + 1]))
     if not verts or not tris:
         raise MeshFormatError(f"{path}: no geometry found")
-    return SurfaceMesh(np.array(verts), np.array(tris, dtype=np.int64))
+    if min(map(min, tris)) < 0 or max(map(max, tris)) >= len(verts):
+        raise MeshFormatError(f"{path}: face index out of range 1..{len(verts)}")
+    return np.array(verts, dtype=np.float64), np.array(tris, dtype=np.int64)
 
 
-def _load_stl_ascii(path: str, data: bytes) -> SurfaceMesh:
+def _load_stl_ascii(path: str, data: bytes) -> tuple[np.ndarray, np.ndarray]:
     raw_verts = []
     count = 0
     for lineno, line in enumerate(data.decode("utf-8", errors="replace").splitlines(), 1):
@@ -365,11 +371,10 @@ def _load_stl_ascii(path: str, data: bytes) -> SurfaceMesh:
             f"vertices for {count} facets"
         )
     raw = np.array(raw_verts, dtype=np.float64)
-    tris = np.arange(len(raw), dtype=np.int64).reshape(-1, 3)
-    return _weld(raw, tris)
+    return raw, np.arange(len(raw), dtype=np.int64).reshape(-1, 3)
 
 
-def _load_stl_binary(path: str, data: bytes) -> SurfaceMesh:
+def _load_stl_binary(path: str, data: bytes) -> tuple[np.ndarray, np.ndarray]:
     if len(data) < 84:
         raise MeshFormatError(f"{path}: binary STL shorter than its header")
     count = int.from_bytes(data[80:84], "little")
@@ -382,8 +387,7 @@ def _load_stl_binary(path: str, data: bytes) -> SurfaceMesh:
         )
     records = np.frombuffer(data, dtype=STL_RECORD, count=count, offset=84)
     raw = records["corners"].astype(np.float64).reshape(-1, 3)
-    tris = np.arange(len(raw), dtype=np.int64).reshape(-1, 3)
-    return _weld(raw, tris)
+    return raw, np.arange(len(raw), dtype=np.int64).reshape(-1, 3)
 
 
 def load_mesh(path: str) -> SurfaceMesh:
@@ -394,16 +398,17 @@ def load_mesh(path: str) -> SurfaceMesh:
     some exporters write it. Any other file that begins with "solid" is
     ASCII STL. Any other ``.stl`` file is read as binary, so a truncated or
     empty one is reported as such, and everything else is read as OBJ.
+    Every format is welded alike (_weld).
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) == 84 + STL_RECORD.itemsize * int.from_bytes(data[80:84], "little"):
-        return _load_stl_binary(path, data)
-    if data.startswith(b"solid"):
-        return _load_stl_ascii(path, data)
-    if str(path).lower().endswith(".stl"):
-        return _load_stl_binary(path, data)
-    return _load_obj(path, data)
+        load = _load_stl_binary
+    elif data.startswith(b"solid"):
+        load = _load_stl_ascii
+    else:
+        load = _load_stl_binary if str(path).lower().endswith(".stl") else _load_obj
+    return _weld(*load(path, data))
 
 
 def save_obj(mesh: SurfaceMesh, path: str) -> None:

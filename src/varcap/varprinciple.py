@@ -170,16 +170,18 @@ def _quotients(matrix: np.ndarray, au: np.ndarray, vs: np.ndarray, scale: float)
     """(v.Au)^2 / (v.Av) for each row v of ``vs``, and which rows are degenerate.
 
     A row is degenerate, and its value 0, when |v.Av| <= DENOM_EPS scale |v|^2:
-    the paper's convention for (Av, v) = 0. quotient, verify_principle,
-    find_witness and capacitance.rayleigh_bound evaluate their quotients
-    here. The maximum over a span of trial densities has a closed form,
-    which capacitance._span_maximum alone evaluates (zeroth_capacitance,
-    subspace_bound and bound_ledger); gauss_functional is 1/Q.
+    the paper's convention for (Av, v) = 0. Taken as (v.Au) ((v.Au) / (v.Av)),
+    a value overflows only when it, not (v.Au)^2, leaves the double range.
+    quotient, verify_principle, find_witness and capacitance.rayleigh_bound
+    evaluate their quotients here. The maximum over a span of trial densities
+    has a closed form, which capacitance._span_maximum alone evaluates
+    (zeroth_capacitance, subspace_bound and bound_ledger); gauss_functional is 1/Q.
     """
     denoms = np.einsum("ij,ij->i", vs, vs @ matrix)
     degenerate = np.abs(denoms) <= DENOM_EPS * scale * np.einsum("ij,ij->i", vs, vs)
-    values = np.divide((vs @ au) ** 2, denoms, out=np.zeros(len(vs)), where=~degenerate)
-    return values, degenerate
+    num = vs @ au
+    values = np.divide(num, denoms, out=np.zeros(len(vs)), where=~degenerate)
+    return np.multiply(values, num, out=values, where=~degenerate), degenerate
 
 
 def quotient(form: SymmetricForm, u, v) -> QuotientValue:

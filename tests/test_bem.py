@@ -17,6 +17,7 @@ from varcap.errors import (
     DegenerateTriangleError,
     DimensionMismatchError,
     NonFiniteInputError,
+    SolveError,
 )
 
 from oracles import (
@@ -457,7 +458,9 @@ class TestAssembly:
             r = np.concatenate([pairs[:pad] // m, rows[order]])
             s = np.concatenate([pairs[:pad] % m, srcs[order]])
             perms = np.tile(perms, (len(r), 1))
-            vals = bem._refined_entries(panels.corners, panels.areas, r, s, perms, pts, wts)
+            vals = bem._refined_entries(
+                panels.corners, panels.areas, bem._frames(panels.corners), r, s, perms, pts, wts
+            )
             out = np.empty(len(rows))
             out[order] = vals[pad:]
             return out
@@ -492,7 +495,8 @@ class TestAssembly:
             i, j, perm_i, perm_j = refined[case]
             assert len(i) > 0, case
             rows, srcs, perm = (np.concatenate(two) for two in ((i, j), (j, i), (perm_i, perm_j)))
-            got = bem._refined_entries(corners, areas, rows, srcs, perm, pts, wts)
+            frames = bem._frames(corners)
+            got = bem._refined_entries(corners, areas, frames, rows, srcs, perm, pts, wts)
             for k in np.random.default_rng(47).permutation(len(rows))[:150]:
                 outer = corners[rows[k]][perm[k]]
                 inner = varcap.triangle_potentials(pts @ outer, corners[srcs[k]])
@@ -504,7 +508,9 @@ class TestAssembly:
         # One direction of a tier's pairs, as a lone _refined_entries call
         # with the tier's own rule.
         pts, wts = tier_rule(tier)
-        return bem._refined_entries(panels.corners, panels.areas, rows, srcs, perms, pts, wts)
+        return bem._refined_entries(
+            panels.corners, panels.areas, bem._frames(panels.corners), rows, srcs, perms, pts, wts
+        )
 
     @pytest.mark.parametrize("name", ["sphere2", "ellipsoid"])
     def test_near_ring_evaluated_once_and_mirrored(self, solved, name):
@@ -696,6 +702,15 @@ class TestAssembly:
             tracemalloc.stop()
         assert peak < 2.5 * matrix.nbytes, peak / matrix.nbytes
 
+    def test_frames_computed_once_per_assembly(self, monkeypatch):
+        # The diagonal and every refined tier read one frame table.
+        calls = []
+        frames = bem._frames
+        monkeypatch.setattr(bem, "_frames", lambda tris: calls.append(len(tris)) or frames(tris))
+        panels = varcap.build_panels(varcap.make_icosphere(1.0, 1))
+        assemble(panels)
+        assert calls == [panels.n_panels]
+
     def test_workers_bitwise_identical(self):
         panels = varcap.build_panels(varcap.make_icosphere(1.0, 1))
         m1 = assemble(panels, workers=1).matrix
@@ -710,6 +725,14 @@ class TestAssembly:
             assert report.min_eigenvalue > 0
             exact = np.linalg.eigvalsh(system.matrix)[0]
             assert report.min_eigenvalue == pytest.approx(exact, rel=1e-10), name
+
+    def test_certified_cholesky_bound_not_positive(self):
+        # diag(1e-307, 1, 1) factors, but the underflow allowance for its
+        # smallest pivot exceeds the shift, so the proof fails with no
+        # LAPACK error behind it.
+        with pytest.raises(SolveError, match="could not prove") as info:
+            bem._certified_cholesky(np.diag([1e-307, 1.0, 1.0]))
+        assert info.value.__cause__ is None
 
     def test_spd_check_detects_indefinite(self):
         panels = varcap.build_panels(varcap.make_icosphere(1.0, 1))

@@ -303,6 +303,27 @@ class TestSolve:
         assert err["type"] == "NotWatertightError"
         assert err["boundary_edges"]
 
+    @pytest.mark.parametrize("shape, level", [("cube", 4), ("icosphere", 2)])
+    def test_obj_with_per_face_vertex_records(self, shape, level, tmp_path, capsys):
+        # Exporters repeat vertex records per face at UV or normal seams.
+        # Every format is welded, so such an OBJ solves to the same C, bit
+        # for bit, as the shared-vertex file.
+        mesh = SHAPES[shape][0](1.0, level)
+        shared, split = tmp_path / "shared.obj", tmp_path / "split.obj"
+        varcap.save_obj(mesh, str(shared))
+        corners = mesh.vertices[mesh.triangles].reshape(-1, 3).tolist()
+        split.write_text(
+            "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in corners)
+            + "".join(f"f {k + 1} {k + 2} {k + 3}\n" for k in range(0, len(corners), 3))
+        )
+        reports = []
+        for path in (shared, split):
+            code, out = run_cli(capsys, "solve", "--mesh", str(path), "--json")
+            assert code == EXIT_OK, out
+            reports.append(json.loads(out))
+        assert reports[1]["mesh"]["vertices"] == mesh.n_vertices
+        assert reports[1]["capacitance"]["C"] == reports[0]["capacitance"]["C"]
+
     def test_sliver_mesh_reports_panel_index(self, tmp_path, capsys):
         # A tetrahedron whose face (1, 3, 2) is split at a point 1e-15 off
         # the middle of its edge (1, 2): the sixth face, (1, 5, 2), is a
@@ -431,6 +452,17 @@ class TestVerifyPrinciple:
         payload = json.loads(out)
         assert payload["schema"] == "caperror/1"
         assert payload["error"]["type"] == "NonFiniteInputError"
+
+    def test_finite_quotient_whose_square_overflows(self, tmp_path, capsys):
+        # (Au, u) = 2e306 is finite, and so is the quotient at v = u, but
+        # (u.Au)^2 is not.
+        path = self.write_form(tmp_path, [[1.0, 0.0], [0.0, 1.0]], [1e153, 1e153])
+        code, out = run_cli(capsys, "verify-principle", "--input", path)
+        assert code == EXIT_OK, out
+        report = json.loads(out)
+        assert report["classification"] == "nonneg"
+        assert report["consistent"] is True
+        assert report["best_quotient"] == report["quadratic_form_at_u"] == 2e306
 
     def test_reports_are_strict_json(self):
         with pytest.raises(ValueError):

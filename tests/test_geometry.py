@@ -26,6 +26,17 @@ def tetrahedron():
     return varcap.SurfaceMesh(TET_VERTS.copy(), TET_TRIS.copy())
 
 
+def ascii_stl(corners, gap=""):
+    """ASCII STL text of triangles (m, 3, 3), with ``gap`` between facets."""
+    facets = [
+        "facet normal 0 0 0\nouter loop\n"
+        + "".join(f"vertex {x!r} {y!r} {z!r}\n" for x, y, z in tri)
+        + "endloop\nendfacet\n"
+        for tri in np.asarray(corners).tolist()
+    ]
+    return "solid s\n" + gap.join(facets) + "endsolid s\n"
+
+
 def loop_icosphere_corners(level):
     """Panel corners from midpoint subdivision with a dict per level."""
     verts, faces = _icosahedron()
@@ -193,6 +204,12 @@ class TestMeshValidation:
         with pytest.raises(NonFiniteInputError):
             varcap.SurfaceMesh(verts, TET_TRIS.copy())
 
+    def test_watertight_error_names_plain_ints(self):
+        with pytest.raises(NotWatertightError) as info:
+            varcap.SurfaceMesh(TET_VERTS.copy(), TET_TRIS[1:].copy())
+        assert "(0, 1)" in str(info.value)
+        assert "int64" not in str(info.value)
+
     def test_inconsistent_orientation_warns(self):
         tris = TET_TRIS.copy()
         tris[0] = tris[0][::-1]
@@ -337,6 +354,46 @@ class TestFileRoundTrips:
         mesh = _weld(moved, np.arange(12).reshape(4, 3))
         assert mesh.n_vertices == 4
         assert mesh.vertices[mesh.triangles].tobytes() == TET_VERTS[TET_TRIS].tobytes()
+
+    def test_stl_ascii_vertices_in_file_order(self, tmp_path):
+        # Blank lines between facets are skipped, and the welded vertices
+        # come in the order the file first names them.
+        path = tmp_path / "tet.stl"
+        path.write_text(ascii_stl(TET_VERTS[TET_TRIS], gap="\n  \n"))
+        mesh = varcap.load_mesh(str(path))
+        ids = TET_TRIS.reshape(-1)
+        order = ids[np.sort(np.unique(ids, return_index=True)[1])]
+        assert mesh.vertices.tobytes() == TET_VERTS[order].tobytes()
+        assert mesh.vertices[mesh.triangles].tobytes() == TET_VERTS[TET_TRIS].tobytes()
+
+    def test_weld_far_from_origin(self, tmp_path):
+        # 1e11 from the origin a unit cube's weld keys pass 2**63, so an
+        # int64 cast would collapse every vertex into one.
+        cube = varcap.make_cube(1.0, 2)
+        path = tmp_path / "far.stl"
+        path.write_text(ascii_stl(cube.vertices[cube.triangles] + 1e11))
+        mesh = varcap.load_mesh(str(path))
+        assert mesh.n_vertices == cube.n_vertices
+        assert mesh.vertices[mesh.triangles].tobytes() == (
+            cube.vertices[cube.triangles] + 1e11
+        ).tobytes()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertex_in_any_format(self, tmp_path, value):
+        # The weld leaves a non-finite vertex to SurfaceMesh's check, and
+        # warns about nothing on the way.
+        corners = TET_VERTS[TET_TRIS].copy()
+        corners[1, 2, 0] = value
+        path = tmp_path / "tet.stl"
+        path.write_text(ascii_stl(corners))
+        with pytest.raises(NonFiniteInputError):
+            varcap.load_mesh(str(path))
+
+    def test_obj_face_index_out_of_range(self, tmp_path):
+        # A negative index past the first vertex must not wrap around.
+        for face in ("f 1 2 4\n", "f -4 1 2\n"):
+            with pytest.raises(MeshFormatError, match="face index out of range 1..3"):
+                load_text(tmp_path, "a.obj", TRIANGLE_OBJ + face)
 
     def test_malformed_inputs(self, tmp_path):
         bad = tmp_path / "bad.obj"
