@@ -333,10 +333,10 @@ def _load_obj(path: str, data: bytes) -> tuple[np.ndarray, np.ndarray]:
                 head = tok.split("/")[0]
                 try:
                     i = int(head)
-                except ValueError as exc:
-                    raise MeshFormatError(
-                        f"{path}:{lineno}: bad face index {tok!r}"
-                    ) from exc
+                except ValueError:
+                    i = 0
+                if i == 0:  # OBJ counts from 1, or back from -1
+                    raise MeshFormatError(f"{path}:{lineno}: bad face index {tok!r}")
                 idx.append(i - 1 if i > 0 else len(verts) + i)
             if len(idx) < 3:
                 raise MeshFormatError(f"{path}:{lineno}: face with < 3 vertices")

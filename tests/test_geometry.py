@@ -432,6 +432,9 @@ STL_FACET = "solid s\nfacet normal 0 0 1\nouter loop\n"
         (lambda t: load_text(t, "a.obj", "v 0 0 x\n"), MeshFormatError, "bad vertex coordinate"),
         (lambda t: load_text(t, "a.obj", TRIANGLE_OBJ + "f 1 a 3\n"),
          MeshFormatError, "bad face index"),
+        # Index 0 is not an OBJ index, even where a later vertex would match it.
+        (lambda t: load_text(t, "a.obj", TRIANGLE_OBJ + "f 0 3 2\nv 0 0 1\n"),
+         MeshFormatError, r"a\.obj:4: bad face index '0'"),
         (lambda t: load_text(t, "a.obj", TRIANGLE_OBJ + "f 1 2\n"),
          MeshFormatError, "< 3 vertices"),
         (lambda t: load_text(t, "a.obj", "# empty\n"), MeshFormatError, "no geometry"),
@@ -443,7 +446,8 @@ STL_FACET = "solid s\nfacet normal 0 0 1\nouter loop\n"
     ],
     ids=[
         "ellipsoid-semiaxis", "vertices-n2", "triangles-m4", "panels-nan",
-        "obj-coordinate", "obj-face-index", "obj-two-vertex-face", "obj-no-geometry",
+        "obj-coordinate", "obj-face-index", "obj-face-index-zero", "obj-two-vertex-face",
+        "obj-no-geometry",
         "stl-short-vertex", "stl-coordinate", "stl-50-bytes",
     ],
 )

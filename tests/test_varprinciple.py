@@ -1,7 +1,10 @@
 """Max-quotient principle: sufficiency, necessity and edge cases."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from varcap import (
     SymmetricForm,
@@ -206,6 +209,76 @@ class TestWitnessSweep:
                         best = (lam, q.value)
             assert witness.lambda_star == best[0]
             assert witness.quotient == quotient(form, u, witness.v_star).value
+
+
+class TestTridiagonalReduction:
+    # One tridiagonalization per form: the eigenvalues and the witness's
+    # eigenvectors both come from it.
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 200])
+    def test_eigenpairs_match_dense_decomposition(self, n):
+        rng = np.random.default_rng(51 + n)
+        for matrix in (random_spd(rng, n), random_indefinite(rng, n)):
+            form = SymmetricForm.from_matrix(matrix)
+            expected = np.linalg.eigvalsh(form.matrix)
+            assert np.max(np.abs(form.eigenvalues - expected)) <= 1e-13 * form.norm
+            if classify(form) != "indefinite":
+                continue
+            witness = find_witness(form, rng.standard_normal(n))
+            for vec, value in ((witness.z, witness.a), (witness.w, witness.c)):
+                assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
+                residual = np.linalg.norm(form.matrix @ vec - value * vec)
+                assert residual <= 1e-12 * form.norm
+            assert witness.a == pytest.approx(form.eigenvalues[-1], abs=1e-13 * form.norm)
+            assert witness.c == pytest.approx(form.eigenvalues[0], abs=1e-13 * form.norm)
+
+    def test_no_dense_eigendecomposition(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("a dense eigendecomposition ran")
+
+        for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                             (scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh")):
+            monkeypatch.setattr(module, name, unused)
+        rng = np.random.default_rng(61)
+        form = SymmetricForm.from_matrix(random_indefinite(rng, 30))
+        u = rng.standard_normal(30)
+        assert find_witness(form, u) is not None
+        report = verify_principle(form, u, seed=1)
+        assert report.witness is not None and report.consistent
+
+    def test_repeated_extreme_eigenvalues(self):
+        form = SymmetricForm.from_matrix(np.diag([1.0, 1.0, -1.0, -1.0]))
+        u = np.array([1.0, 0.5, 0.25, 0.125])
+        witness = find_witness(form, u)
+        assert witness is not None
+        assert (witness.a, witness.c) == pytest.approx((1.0, -1.0), abs=1e-15)
+        assert witness.quotient > float(u @ form.matrix @ u)
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-200, 1.0, 1e200, 1e250, 1e300])
+    def test_witness_is_scale_free(self, s):
+        # b^2 - ac and |Au| leave the double range for these s unless scaled,
+        # and near the pole the quotient itself overflows at s = 1e300.
+        form = SymmetricForm.from_matrix(np.diag([s, -s]))
+        u = np.array([1.0, 0.5])
+        witness = find_witness(form, u)
+        assert witness is not None
+        assert (witness.lambda1, witness.lambda2) == (-1.0, 1.0)
+        assert math.isfinite(witness.quotient) and witness.quotient > 0.75 * s
+        report = verify_principle(form, u, seed=2)
+        assert report.witness is not None and report.consistent
+        assert math.isfinite(report.best_quotient)
+
+    @pytest.mark.parametrize("s", [1e-310, 1e-300, 1e200, 1e300])
+    def test_reduction_at_the_ends_of_the_double_range(self, s):
+        # Unscaled, the reduction of 1e200 A leaves bisection unable to
+        # converge, and 1e-310 A gives a > 0 > c the wrong signs.
+        rng = np.random.default_rng(71)
+        matrix = random_indefinite(rng, 20)
+        reference = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
+        form = SymmetricForm.from_matrix(s * matrix)
+        scaled = form.eigenvalues / s
+        assert np.max(np.abs(scaled - reference)) <= 1e-12 * np.max(np.abs(reference))
+        witness = find_witness(form, rng.standard_normal(20))
+        assert witness is not None and math.isfinite(witness.quotient)
 
 
 class TestDeterminism:
