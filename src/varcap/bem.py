@@ -14,18 +14,18 @@ The potential is evaluated in the source triangle's own frame: a point's
 coordinates (u, v, h) there and its distances d_k from the sides' lines
 are affine in the point, so the outer rule's values are interpolated from
 the outer triangle's corners with the rule's barycentric table.
-Entries are written, divided by 4 pi, into the upper triangle in a fixed
-order: the far tiles write every pair (i, j), i < j, and the refined tiers
-overwrite theirs, a separated pair from one direction and a touching pair
-as the mean of both, whose difference is recorded. One mirror then copies
-the upper triangle to the lower, so A_h is exactly symmetric. No kernel
-call takes more than POINTS_PER_CALL points, no far-field tile nq times as
-many pairs.
+Entries are written, divided by 4 pi, in a fixed order, each value into
+both triangles where it is computed, so A_h is exactly symmetric: the far
+tiles write every pair (i, j), i < j, and the refined tiers overwrite
+theirs, a separated pair from one direction and a touching pair as the mean
+of both, whose difference is recorded. No kernel call takes more than
+POINTS_PER_CALL points, no far-field tile nq times as many pairs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
@@ -112,15 +112,6 @@ TIERS = (
 # sphere3's and cube8's refined classes took 118 and 105 ms at 8k, 118 and
 # 97 ms at 16k, 127 and 110 ms at 32k.
 POINTS_PER_CALL = 16_384
-
-# Far-field tiles of FAR_ROWS panel rows: sphere3's far field took 0.14-0.17
-# s with 2, 0.14-0.18 with 4 or 8 and 0.15-0.18 with 1, cube8's 0.048-0.072
-# s with 2, 4 or 8 and 0.055-0.081 with 1 (medians of 9-11 interleaved
-# assemblies, three runs). Mirroring in 32 kB squares of
-# MIRROR_BLOCK rows copied sphere4's matrix in 77 ms, against 190-210 ms
-# row by column.
-FAR_ROWS = 2
-MIRROR_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +329,11 @@ class ClassStats:
 class GalerkinSystem:
     """Dense symmetric Galerkin matrix with panel areas and diagnostics.
 
-    ``assembly`` maps each entry class to its work. Assembly writes the
-    upper triangle and mirrors it once. The far field and the separated
-    tiers compute each pair (i, j), i < j, once, so their entries count
-    pairs; the touching tiers compute both directions of each pair and count
-    both. Refined entries overwrite the far field's.
+    ``assembly`` maps each entry class to its work. Each value is written to
+    (i, j) and (j, i) where it is computed. The far field writes and the
+    separated tiers compute each pair (i, j), i < j, once, so their entries
+    count pairs; the touching tiers compute both directions of each pair
+    and count both. Refined entries overwrite the far field's.
     ``asymmetry_norm`` is the largest difference between the two
     directions of a touching pair, whose mean ``(M_ij + M_ji) / 2`` is the
     entry; every other entry has one value.
@@ -431,11 +422,13 @@ def _refined_entries(corners, areas, frames, rows, srcs, perms, pts_bary, wts) -
 
 
 def _far_tile(matrix, points, areas, weights, r0, r1, c0, c1, scratch):
-    """Write the far entries (i, j), r0 <= i < r1, max(i + 1, c0) <= j < c1.
+    """Write the far entries of panels r0 <= i < r1 against c0 <= j < c1, r0 <= c0.
 
     Entry (i, j) is a_i a_j sum_pq w_p w_q / (4 pi |x_p - y_q|) over the
     rule's points on panels i and j, taken from the rows of ``points``
-    (m nq, 3); ``scratch`` holds one tile of doubles. Coincident points, as
+    (m nq, 3); ``scratch`` holds one tile of doubles. The tile goes to both
+    triangles. A diagonal tile (r0 == c0) keeps the pairs i < j, whose rows
+    hold the smaller index, and leaves its diagonal 0. Coincident points, as
     on overlapping panels, give inf, which assemble rejects. On one core of
     a 2-core x86 VM a point pair costs 4.9-6.5 ns (sphere3, cube16, sphere4).
     """
@@ -447,8 +440,19 @@ def _far_tile(matrix, points, areas, weights, r0, r1, c0, c1, scratch):
     vals = (weights @ d.reshape(r1 - r0, nq, -1)).reshape(r1 - r0, c1 - c0, nq) @ weights
     vals *= areas[r0:r1, None] * areas[c0:c1]
     vals /= FOUR_PI
-    for i in range(r0, r1):
-        matrix[i, max(i + 1, c0) : c1] = vals[i - r0, max(i + 1 - c0, 0) :]
+    if r0 == c0:
+        upper = np.triu(vals, 1)
+        matrix[r0:r1, c0:c1] = upper + upper.T
+    else:
+        matrix[r0:r1, c0:c1] = vals
+        matrix[c0:c1, r0:r1] = vals.T
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def assemble(panels: PanelSystem, workers: int = 1) -> GalerkinSystem:
@@ -469,22 +473,23 @@ def assemble(panels: PanelSystem, workers: int = 1) -> GalerkinSystem:
     stats: dict[str, ClassStats] = {}
     refined = _refined_pairs(corners, panels.centroids)
 
-    # Far field, once per pair (i, j), i < j: tiles of FAR_ROWS panel rows
-    # against runs of columns j >= r0, at most nq * POINTS_PER_CALL point
-    # pairs each, which depend on m and nq alone. Worker k takes every
-    # workers-th tile from tile k; the calling thread is worker 0, as each
-    # pool thread's malloc arena keeps its peak after the pool ends.
+    # Far field, once per pair (i, j), i < j: square tiles of side panels,
+    # (r0, c0) with c0 >= r0, at most nq * POINTS_PER_CALL point pairs each,
+    # which depend on m and nq alone. Worker k takes every workers-th tile
+    # from tile k; the calling thread is worker 0, as each pool thread's
+    # malloc arena keeps its peak after the pool ends. Workers are capped at
+    # the usable CPUs, as each holds one tile of scratch.
     start = time.perf_counter()
     points = (far_points @ corners).reshape(m * nq, 3)
-    run = max(1, POINTS_PER_CALL // (FAR_ROWS * nq))
-    tiles = [(r0, c0) for r0 in range(0, m, FAR_ROWS) for c0 in range(r0, m, run)]
+    side = max(1, math.isqrt(POINTS_PER_CALL // nq))
+    tiles = [(r0, c0) for r0 in range(0, m, side) for c0 in range(r0, m, side)]
     matrix = np.empty((m, m))
-    workers = max(1, min(int(workers), len(tiles)))
+    workers = max(1, min(int(workers), len(tiles), _usable_cpus()))
 
     def fill_share(k):
-        scratch = np.empty(FAR_ROWS * nq * run * nq)
+        scratch = np.empty((side * nq) ** 2)
         for r0, c0 in tiles[k::workers]:
-            r1, c1 = min(m, r0 + FAR_ROWS), min(m, c0 + run)
+            r1, c1 = min(m, r0 + side), min(m, c0 + side)
             _far_tile(matrix, points, areas, far_weights, r0, r1, c0, c1, scratch)
 
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
@@ -499,9 +504,9 @@ def assemble(panels: PanelSystem, workers: int = 1) -> GalerkinSystem:
     matrix[diag, diag] = _self_integrals(frames[2], areas) / FOUR_PI
     stats["self"] = ClassStats(m, 0, time.perf_counter() - start)
 
-    # Refined pairs overwrite the far field's (i, j), i < j. A separated pair
-    # takes one direction, panel i outer; a touching pair the mean of both,
-    # whose difference is asymmetry_norm.
+    # Refined pairs overwrite the far field's (i, j) and (j, i), i < j. A
+    # separated pair takes one direction, panel i outer; a touching pair the
+    # mean of both, whose difference is asymmetry_norm.
     asym = 0.0
     for tier in tiers:
         start = time.perf_counter()
@@ -512,17 +517,8 @@ def assemble(panels: PanelSystem, workers: int = 1) -> GalerkinSystem:
         vals = _refined_entries(corners, areas, frames, rows, srcs, perms, pts, wts)
         vals = vals.reshape(len(directions), -1)
         asym = max(asym, float(np.max(np.abs(vals[0] - vals[-1]), initial=0.0)))
-        matrix[i, j] = vals.mean(axis=0)
+        matrix[i, j] = matrix[j, i] = vals.mean(axis=0)
         stats[tier.name] = ClassStats(vals.size, len(wts), time.perf_counter() - start)
-
-    # The lower triangle is the upper one's mirror, copied in MIRROR_BLOCK squares.
-    below = np.tri(MIRROR_BLOCK, k=-1, dtype=bool)
-    for b0 in range(0, m, MIRROR_BLOCK):
-        for c0 in range(b0, m, MIRROR_BLOCK):
-            rows, cols = slice(b0, b0 + MIRROR_BLOCK), slice(c0, c0 + MIRROR_BLOCK)
-            lower = matrix[cols, rows]
-            where = below[: lower.shape[0], : lower.shape[1]] | (c0 > b0)
-            np.copyto(lower, matrix[rows, cols].T, where=where)
 
     if not np.isfinite(matrix).all():
         i, j = np.argwhere(~np.isfinite(matrix))[0]

@@ -222,7 +222,9 @@ def test_criterion_09_symmetry_and_scaling():
         assert abs(c_m - c) <= 1e-10 * c
 
 
-def test_criterion_10_determinism(tmp_path, capsys):
+def test_criterion_10_determinism(tmp_path, capsys, monkeypatch):
+    # Four CPUs reported, so four workers split the far field four ways.
+    monkeypatch.setattr(varcap.bem, "_usable_cpus", lambda: 4)
     with criterion(10, "solve reports are bitwise reproducible across workers"):
         reports = []
         for run in range(2):

@@ -676,21 +676,56 @@ class TestAssembly:
         assert max(pairs) <= nq * 600 and len(pairs) > tiles
         np.testing.assert_allclose(small, base, rtol=1e-13, atol=0.0)
 
-    def test_workers_bitwise_identical_odd_panel_count(self):
+    @pytest.mark.parametrize("budget", [None, 600], ids=["default", "600"])
+    def test_workers_bitwise_identical_odd_panel_count(self, monkeypatch, budget):
         # 79 panels: worker k fills far-field tiles k, k + workers, ...,
-        # with the calling thread as worker 0. The tile bounds depend on m
-        # and nq alone and each tile writes its own entries once, so neither
-        # the split nor the thread timing can move a bit.
+        # with the calling thread as worker 0. The square tiles depend on m
+        # and nq alone and each writes its own entries into both triangles
+        # once, so neither the split nor the thread timing can move a bit,
+        # and A_h is exactly symmetric. At a budget of 600 points the tiles
+        # are 10 panels wide: eight diagonal tiles and partial edge tiles.
+        monkeypatch.setattr(bem, "_usable_cpus", lambda: 4)
+        if budget is not None:
+            monkeypatch.setattr(bem, "POINTS_PER_CALL", budget)
         corners = varcap.build_panels(varcap.make_icosphere(1.0, 2)).corners[:79]
         panels = PanelSystem.from_triangles(corners)
         base = assemble(panels, workers=1).matrix
+        assert np.array_equal(base, base.T)
         for workers in (2, 3):
             assert np.array_equal(assemble(panels, workers=workers).matrix, base), workers
 
+    def test_workers_capped_by_usable_cpus(self, monkeypatch):
+        # A workers count far above the CPUs asks the pool for at most one
+        # thread per usable CPU besides the calling one. The fake pool runs
+        # its shares serially in the calling thread, so no thread starts.
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(bem, "ThreadPoolExecutor", SerialPool)
+        panels = varcap.build_panels(varcap.make_icosphere(1.0, 2))
+        base = assemble(panels, workers=1).matrix
+        for cpus in (bem._usable_cpus(), 3):
+            monkeypatch.setattr(bem, "_usable_cpus", lambda: cpus)
+            asked.clear()
+            assert np.array_equal(assemble(panels, workers=10_000).matrix, base)
+            assert asked == [max(1, cpus - 1)], (cpus, asked)
+
     def test_assembly_peak_memory(self, solved):
-        # Every entry is written once, in its final units, into the upper
-        # triangle, and one mirror copies it to the lower, so assembly holds
-        # no m x m temporary besides the finiteness mask (1/8 of the matrix).
+        # Every value is written, in its final units, into both triangles
+        # where it is computed, so assembly holds no m x m temporary besides
+        # the finiteness mask (1/8 of the matrix).
         # Measured on sphere3: 1.35x the matrix; averaging M and M^T whole
         # read 3.18x.
         panels = solved("sphere3").panels
@@ -711,7 +746,8 @@ class TestAssembly:
         assemble(panels)
         assert calls == [panels.n_panels]
 
-    def test_workers_bitwise_identical(self):
+    def test_workers_bitwise_identical(self, monkeypatch):
+        monkeypatch.setattr(bem, "_usable_cpus", lambda: 4)
         panels = varcap.build_panels(varcap.make_icosphere(1.0, 1))
         m1 = assemble(panels, workers=1).matrix
         m4 = assemble(panels, workers=4).matrix
