@@ -7,11 +7,12 @@ unbounded along an explicit two-dimensional family v = lambda*z + w built
 from a positive and a negative direction; :func:`find_witness` constructs
 that family and sweeps toward the pole of the denominator.
 
-Each form is reduced to tridiagonal form once, at construction. The
-eigenvalues that classify it and the two extreme eigenvectors of the witness
-family both come from that one reduction; no dense eigendecomposition runs.
+A form is its two extreme eigenpairs: lambda_min >= 0 is exactly A >= 0, and
+their eigenvectors are the witness family's directions. Both come from one
+tridiagonal reduction at construction, of which nothing else is kept; no
+dense eigendecomposition runs.
 
-All operations are pure; randomness always comes from an explicit seed.
+All operations are pure; the random probes always come from one fixed seed.
 """
 
 from __future__ import annotations
@@ -56,37 +57,28 @@ SPECTRAL_EPS = 1e-10
 SWEEP_STEPS = 40
 APPROACH_FACTOR = 0.5
 
-
-@dataclass(frozen=True)
-class Tridiagonal:
-    """Q^T (2^-k A) Q = T, as LAPACK's dsytrd (lower) leaves it.
-
-    ``diagonal`` and ``offdiagonal`` hold T. Q is the product of Householder
-    reflectors stored below the subdiagonal of ``reflectors``, with factors
-    ``tau``. T's eigenvectors are the scaled matrix's, and so A's, in Q's basis.
-    """
-
-    diagonal: np.ndarray
-    offdiagonal: np.ndarray
-    reflectors: np.ndarray
-    tau: np.ndarray
+# verify_principle's random probes: this many unit directions, from this seed.
+RANDOM_TRIALS = 1000
+RANDOM_SEED = 0
 
 
 @dataclass(frozen=True)
 class SymmetricForm:
-    """A real symmetric matrix with its ascending eigenvalues and spectral norm.
+    """A real symmetric matrix with its spectral norm and two extreme eigenpairs.
 
-    Construction reduces the matrix to tridiagonal form once (``tridiagonal``).
-    The eigenvalues, which every later sign test reads, are the tridiagonal
-    matrix's, and :func:`find_witness` takes its two eigenvectors from the same
-    reduction.
+    ``lambda_min`` and ``lambda_max``, which every sign test reads, are the
+    ends of the spectrum, and ``w`` and ``z`` their unit eigenvectors, which
+    :func:`find_witness` combines. All four come from one tridiagonal
+    reduction at construction; its reflectors are dropped once they are used.
     """
 
     matrix: np.ndarray
     n: int
     norm: float
-    eigenvalues: np.ndarray
-    tridiagonal: Tridiagonal = field(repr=False, compare=False)
+    lambda_min: float
+    lambda_max: float
+    w: np.ndarray = field(repr=False, compare=False)
+    z: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def from_matrix(cls, matrix) -> "SymmetricForm":
@@ -118,21 +110,38 @@ class SymmetricForm:
         reflectors, d, e, tau, info = lapack.dsytrd(
             np.ldexp(sym, -k).T, lower=1, lwork=lwork, overwrite_a=1
         )
-        if info == 0 and n > 1:
-            evals, info = lapack.dsterf(d, e)
-        else:
-            evals = d.copy()
         if info != 0:
             raise NonFiniteInputError(f"eigendecomposition failed: LAPACK info {info}")
+        evals, w, z = _extreme_eigenpairs(d, e, reflectors, tau)
         with np.errstate(over="ignore"):
             evals = np.ldexp(evals, k)
         if not np.all(np.isfinite(evals)):
             raise NonFiniteInputError("eigenvalues overflow the double range")
-        reduction = Tridiagonal(d, e, reflectors, tau)
-        for arr in (evals, d, e, reflectors, tau):
-            arr.setflags(write=False)
-        norm = float(max(evals[-1], -evals[0]))
-        return cls(sym, n, norm, evals, reduction)
+        w.setflags(write=False)
+        z.setflags(write=False)
+        lambda_min, lambda_max = evals.tolist()
+        return cls(sym, n, max(lambda_max, -lambda_min), lambda_min, lambda_max, w, z)
+
+
+def _extreme_eigenpairs(d, e, reflectors, tau):
+    """T's smallest and largest eigenvalue, and A's unit eigenvectors w and z.
+
+    T = Q^T (2^-k A) Q, as LAPACK's dsytrd (lower) leaves it: ``d`` and ``e``
+    hold T, and Q is the product of the Householder reflectors stored below
+    the subdiagonal of ``reflectors``, with factors ``tau``. T's two eigenpairs
+    come from bisection and inverse iteration (stebz and stein); one dormqr
+    call applies Q to both eigenvectors. Q leaves the first coordinate alone,
+    and its reflectors act on the rest.
+    """
+    n = len(d)
+    (top,), z = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(n - 1, n - 1))
+    (bottom,), w = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    y = np.hstack([z, w])
+    if n > 1:
+        # lwork 2, the column count, runs the unblocked dorm2r: for two columns
+        # it took 0.3 ms at n = 800 against 0.8 ms for the blocked dormqr.
+        y[1:] = lapack.dormqr("L", "N", reflectors[1:, :-1], tau, y[1:], 2)[0]
+    return np.array([bottom, top]), y[:, 1].copy(), y[:, 0].copy()
 
 
 @dataclass(frozen=True)
@@ -234,10 +243,9 @@ def quotient(form: SymmetricForm, u, v) -> QuotientValue:
 
 def classify(form: SymmetricForm) -> str:
     """Sign classification by eigenvalues: nonneg, nonpos, indefinite or zero."""
-    evals = form.eigenvalues
     tol = SPECTRAL_EPS * form.norm
-    has_pos = bool(evals[-1] > tol)
-    has_neg = bool(evals[0] < -tol)
+    has_pos = form.lambda_max > tol
+    has_neg = form.lambda_min < -tol
     if has_pos and has_neg:
         return "indefinite"
     if has_pos:
@@ -245,26 +253,6 @@ def classify(form: SymmetricForm) -> str:
     if has_neg:
         return "nonpos"
     return "zero"
-
-
-def _extreme_eigenvectors(t: Tridiagonal) -> tuple[np.ndarray, np.ndarray]:
-    """Unit eigenvectors of the largest and the smallest eigenvalue of A.
-
-    T's two eigenvectors come from bisection and inverse iteration (stebz and
-    stein); one dormqr call applies Q's reflectors to both. Q leaves the
-    first coordinate alone, and its reflectors act on the rest.
-    """
-    n = len(t.diagonal)
-    y = np.column_stack([
-        scipy.linalg.eigh_tridiagonal(
-            t.diagonal, t.offdiagonal, select="i", select_range=(i, i)
-        )[1][:, 0]
-        for i in (n - 1, 0)
-    ])
-    # lwork 2, the column count, runs the unblocked dorm2r: for two columns
-    # it took 0.3 ms at n = 800 against 0.8 ms for the blocked dormqr.
-    y[1:] = lapack.dormqr("L", "N", t.reflectors[1:, :-1], t.tau, y[1:], 2)[0]
-    return y[:, 0].copy(), y[:, 1].copy()
 
 
 def find_witness(form: SymmetricForm, u) -> Optional[IndefinitenessWitness]:
@@ -278,7 +266,7 @@ def find_witness(form: SymmetricForm, u) -> Optional[IndefinitenessWitness]:
     u = _vector(u, form.n, "u")
     if classify(form) != "indefinite":
         return None
-    z, w = _extreme_eigenvectors(form.tridiagonal)
+    z, w = form.z, form.w
     a = float(z @ form.matrix @ z)
     c = float(w @ form.matrix @ w)
     b = float(z @ form.matrix @ w)
@@ -320,25 +308,20 @@ def find_witness(form: SymmetricForm, u) -> Optional[IndefinitenessWitness]:
     lam_star = float(lams[k])
     v_star = lam_star * z + w
     q_star = quotient(form, u, v_star).value
-    for arr in (z, w, v_star):
-        arr.setflags(write=False)
+    v_star.setflags(write=False)
     return IndefinitenessWitness(
         z, w, a, b, c, lambda1, lambda2, lam_star, v_star, q_star
     )
 
 
-def verify_principle(
-    form: SymmetricForm, u, random_trials: int = 1000, seed: int = 0
-) -> PrincipleReport:
+def verify_principle(form: SymmetricForm, u) -> PrincipleReport:
     """Probe the principle at v = u, random unit vectors and the witness.
 
-    Deterministic for a fixed seed. For indefinite operators whose witness
-    search comes back empty (or not exceeding (Au, u)), 10,000 more random
-    directions are probed.
+    Deterministic: RANDOM_TRIALS directions come from RANDOM_SEED. For
+    indefinite operators whose witness search comes back empty (or not
+    exceeding (Au, u)), 10,000 more random directions are probed.
     """
     u = _vector(u, form.n, "u")
-    if random_trials < 1:
-        raise VarcapError(f"random_trials must be >= 1, got {random_trials}")
     cls = classify(form)
     with np.errstate(over="ignore", invalid="ignore"):
         au = form.matrix @ u
@@ -346,16 +329,14 @@ def verify_principle(
     if not math.isfinite(qfu):
         raise NonFiniteInputError(f"(Au, u) = {qfu} overflows the double range")
     at_u = float(_quotients(form.matrix, au, u[None], form.norm)[0][0])
-    best = at_u
-
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(RANDOM_SEED)
 
     def random_best(trials: int) -> float:
         v = rng.standard_normal((trials, form.n))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         return float(np.max(_quotients(form.matrix, au, v, form.norm)[0]))
 
-    best = max(best, random_best(int(random_trials)))
+    best = max(at_u, random_best(RANDOM_TRIALS))
 
     witness = None
     if cls == "indefinite":

@@ -436,6 +436,25 @@ class TestVerifyPrinciple:
         assert report["consistent"] is True
 
     @pytest.mark.parametrize(
+        "x, classification",
+        [(2.0, "nonneg"), (-3.0, "nonpos"), (0.0, "nonneg")],
+        ids=["positive", "negative", "zero"],
+    )
+    def test_one_by_one_form(self, x, classification, tmp_path, capsys):
+        # A 1 x 1 form is its one eigenpair: lambda_min = lambda_max = x and
+        # z = w = +-e1. A zero form counts as nonneg.
+        form = varcap.SymmetricForm.from_matrix([[x]])
+        assert form.lambda_min == form.lambda_max == x
+        assert abs(form.z[0]) == abs(form.w[0]) == 1.0
+        path = self.write_form(tmp_path, [[x]], [1.5])
+        code, out = run_cli(capsys, "verify-principle", "--input", path)
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["classification"] == classification
+        assert report["consistent"] is True
+        assert report["witness"] is None
+
+    @pytest.mark.parametrize(
         "matrix, u",
         [
             # 0.5 (m + m.T) overflows; the report said "nonneg" with NaN values.

@@ -17,7 +17,6 @@ from varcap.errors import (
     AsymmetricMatrixError,
     DimensionMismatchError,
     NonFiniteInputError,
-    VarcapError,
 )
 from varcap.varprinciple import APPROACH_FACTOR, SWEEP_STEPS
 
@@ -99,7 +98,7 @@ class TestSufficiency:
             form = SymmetricForm.from_matrix(random_spd(rng, n))
             u = rng.standard_normal(n)
             qfu = float(u @ form.matrix @ u)
-            report = verify_principle(form, u, random_trials=500, seed=1)
+            report = verify_principle(form, u)
             assert report.classification == "nonneg"
             assert report.attained_at_u
             assert report.best_quotient <= qfu * (1 + 1e-8) + 1e-12
@@ -109,7 +108,7 @@ class TestSufficiency:
     def test_semidefinite_kernel_direction(self):
         form = SymmetricForm.from_matrix(np.diag([1.0, 0.0]))
         u = np.array([1.0, 1.0])
-        report = verify_principle(form, u, seed=2)
+        report = verify_principle(form, u)
         assert report.classification == "nonneg"
         assert report.best_quotient <= (u @ form.matrix @ u) * (1 + 1e-8) + 1e-12
 
@@ -161,7 +160,7 @@ class TestNecessity:
         # to random probes, which still reveal unboundedness comfortably.
         form = SymmetricForm.from_matrix(np.diag([1.0, 0.5, -1.0]))
         u = np.array([0.0, 1.0, 0.0])
-        report = verify_principle(form, u, seed=5)
+        report = verify_principle(form, u)
         assert report.classification == "indefinite"
         assert report.best_quotient > float(u @ form.matrix @ u)
 
@@ -185,7 +184,7 @@ class TestConsistency:
         ids=["nonneg", "zero", "indefinite", "indefinite-at-0", "nonpos", "nonpos-at-0"],
     )
     def test_consistent_by_classification(self, matrix, u, classification, consistent):
-        report = verify_principle(SymmetricForm.from_matrix(matrix), u, seed=3)
+        report = verify_principle(SymmetricForm.from_matrix(matrix), u)
         assert report.classification == classification
         assert report.consistent is consistent
 
@@ -212,24 +211,39 @@ class TestWitnessSweep:
 
 
 class TestTridiagonalReduction:
-    # One tridiagonalization per form: the eigenvalues and the witness's
-    # eigenvectors both come from it.
+    # One tridiagonalization per form: the two extreme eigenpairs, which the
+    # classification and the witness read, come from it.
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 200])
     def test_eigenpairs_match_dense_decomposition(self, n):
         rng = np.random.default_rng(51 + n)
         for matrix in (random_spd(rng, n), random_indefinite(rng, n)):
             form = SymmetricForm.from_matrix(matrix)
             expected = np.linalg.eigvalsh(form.matrix)
-            assert np.max(np.abs(form.eigenvalues - expected)) <= 1e-13 * form.norm
-            if classify(form) != "indefinite":
-                continue
-            witness = find_witness(form, rng.standard_normal(n))
-            for vec, value in ((witness.z, witness.a), (witness.w, witness.c)):
+            assert abs(form.lambda_min - expected[0]) <= 1e-13 * form.norm
+            assert abs(form.lambda_max - expected[-1]) <= 1e-13 * form.norm
+            for vec, value in ((form.z, form.lambda_max), (form.w, form.lambda_min)):
                 assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
                 residual = np.linalg.norm(form.matrix @ vec - value * vec)
                 assert residual <= 1e-12 * form.norm
-            assert witness.a == pytest.approx(form.eigenvalues[-1], abs=1e-13 * form.norm)
-            assert witness.c == pytest.approx(form.eigenvalues[0], abs=1e-13 * form.norm)
+            if classify(form) != "indefinite":
+                continue
+            witness = find_witness(form, rng.standard_normal(n))
+            assert witness.z is form.z and witness.w is form.w
+            assert witness.a == pytest.approx(form.lambda_max, abs=1e-13 * form.norm)
+            assert witness.c == pytest.approx(form.lambda_min, abs=1e-13 * form.norm)
+
+    def test_form_keeps_no_reduction(self):
+        # A form keeps its matrix and two eigenvectors, not the n x n
+        # Householder reflectors or the rest of the spectrum.
+        rng = np.random.default_rng(81)
+        form = SymmetricForm.from_matrix(random_indefinite(rng, 200))
+        fields = vars(form)
+        assert sorted(fields) == ["lambda_max", "lambda_min", "matrix", "n", "norm", "w", "z"]
+        arrays = {name for name, value in fields.items() if isinstance(value, np.ndarray)}
+        assert arrays == {"matrix", "w", "z"}
+        assert all(isinstance(fields[name], (int, float)) for name in fields.keys() - arrays)
+        assert form.w.shape == form.z.shape == (200,)
+        assert not form.w.flags.writeable and not form.z.flags.writeable
 
     def test_no_dense_eigendecomposition(self, monkeypatch):
         def unused(*args, **kwargs):
@@ -242,7 +256,7 @@ class TestTridiagonalReduction:
         form = SymmetricForm.from_matrix(random_indefinite(rng, 30))
         u = rng.standard_normal(30)
         assert find_witness(form, u) is not None
-        report = verify_principle(form, u, seed=1)
+        report = verify_principle(form, u)
         assert report.witness is not None and report.consistent
 
     def test_repeated_extreme_eigenvalues(self):
@@ -263,7 +277,7 @@ class TestTridiagonalReduction:
         assert witness is not None
         assert (witness.lambda1, witness.lambda2) == (-1.0, 1.0)
         assert math.isfinite(witness.quotient) and witness.quotient > 0.75 * s
-        report = verify_principle(form, u, seed=2)
+        report = verify_principle(form, u)
         assert report.witness is not None and report.consistent
         assert math.isfinite(report.best_quotient)
 
@@ -275,8 +289,9 @@ class TestTridiagonalReduction:
         matrix = random_indefinite(rng, 20)
         reference = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
         form = SymmetricForm.from_matrix(s * matrix)
-        scaled = form.eigenvalues / s
-        assert np.max(np.abs(scaled - reference)) <= 1e-12 * np.max(np.abs(reference))
+        scaled = np.array([form.lambda_min, form.lambda_max]) / s
+        ends = reference[[0, -1]]
+        assert np.max(np.abs(scaled - ends)) <= 1e-12 * np.max(np.abs(reference))
         witness = find_witness(form, rng.standard_normal(20))
         assert witness is not None and math.isfinite(witness.quotient)
 
@@ -286,8 +301,8 @@ class TestDeterminism:
         rng = np.random.default_rng(31)
         form = SymmetricForm.from_matrix(random_indefinite(rng, 8))
         u = rng.standard_normal(8)
-        r1 = verify_principle(form, u, seed=42)
-        r2 = verify_principle(form, u, seed=42)
+        r1 = verify_principle(form, u)
+        r2 = verify_principle(form, u)
         assert r1.best_quotient == r2.best_quotient
         assert r1.quadratic_form_at_u == r2.quadratic_form_at_u
 
@@ -301,8 +316,6 @@ IDENTITY = SymmetricForm.from_matrix(np.eye(2))
         (lambda: SymmetricForm.from_matrix(np.zeros((0, 0))), DimensionMismatchError,
          "dimension >= 1"),
         (lambda: quotient(IDENTITY, [1.0, 1.0], [np.nan, 1.0]), NonFiniteInputError, "v "),
-        (lambda: verify_principle(IDENTITY, [1.0, 1.0], random_trials=0), VarcapError,
-         "random_trials"),
         # m + m.T overflows, and eigvalsh would return NaN.
         (lambda: SymmetricForm.from_matrix(np.diag([1e308, -1e308])), NonFiniteInputError,
          "symmetrized"),
@@ -312,7 +325,7 @@ IDENTITY = SymmetricForm.from_matrix(np.eye(2))
         (lambda: verify_principle(IDENTITY, [1e200, 1e200]), NonFiniteInputError, r"\(Au, u\)"),
     ],
     ids=[
-        "empty-matrix", "quotient-nan-v", "no-random-trials", "symmetrize-overflow",
+        "empty-matrix", "quotient-nan-v", "symmetrize-overflow",
         "eigenvalue-overflow", "quadratic-form-overflow",
     ],
 )
