@@ -24,15 +24,18 @@ POINTS_PER_CALL points, no far-field tile nq times as many pairs.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
 from collections import namedtuple
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -274,13 +277,15 @@ def triangle_potential(point, corners) -> float:
 # Quadrature rules by class and the closed-form diagonal
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _duffy_rule(corner: int, nodes: int, grade) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Legendre rule (barycentric points, weights) collapsed at a corner.
 
     The triangle is the image of the unit square under (s, t) -> corner
     weight 1 - s, next corners s (1 - t) and s t, with area element 2 s ds dt;
     s = grade(sigma) moves the nodes toward s = 0 (the corner) or s = 1 (the
-    opposite edge).
+    opposite edge). Built once per spec, the grade function by identity, and
+    returned read-only.
     """
     x, w = np.polynomial.legendre.leggauss(nodes)
     x, w = 0.5 * (x + 1.0), 0.5 * w
@@ -291,7 +296,10 @@ def _duffy_rule(corner: int, nodes: int, grade) -> tuple[np.ndarray, np.ndarray]
     pts[..., (corner + 1) % 3] = s * (1.0 - t)
     pts[..., (corner + 2) % 3] = s * t
     wts = 2.0 * s * (ds * w)[:, None] * w[None, :]
-    return pts.reshape(-1, 3), wts.ravel()
+    pts, wts = pts.reshape(-1, 3), wts.ravel()
+    pts.setflags(write=False)
+    wts.setflags(write=False)
+    return pts, wts
 
 
 def _rule_table(rule) -> tuple[np.ndarray, np.ndarray]:
@@ -535,40 +543,67 @@ UNIT_ROUNDOFF = 2.0**-53
 ETA = 2.0**-1074  # smallest positive subnormal double
 
 
-def _certified_cholesky(mat: np.ndarray) -> tuple[tuple[np.ndarray, bool], float]:
-    """Cholesky factor of A - tau D, and a proven lower bound on lambda_min(A).
+def _rfp_diagonal(n: int) -> np.ndarray:
+    """Positions of the diagonal of an n x n matrix in LAPACK's RFP array.
 
-    D = diag(A) and tau = 2 gamma_{n+1} n. The shift is relative to each
-    diagonal entry, so the proof, like plain Cholesky, does not depend on
-    how the rows of A are scaled: it is made for H = D^-1/2 A D^-1/2, whose
-    diagonal is 1. If the floating-point factorization of the shifted matrix
-    M runs to completion, Demmel's backward-error bound (Higham, Accuracy and
+    Rectangular full packed storage, TRANSR = 'N' and UPLO = 'U' (Gustavson,
+    Wasniewski, Dongarra & Langou, ACM TOMS 37(2), 2010), is a column-major
+    array with lda = n + 1 rows for even n and n for odd n. With q = n // 2,
+    diagonal entry i < q sits at row lda - q + i of column i, and i >= q at
+    row i of column i - q.
+    """
+    q, lda = n // 2, n + 1 - n % 2
+    i = np.arange(n)
+    return i * (lda + 1) + np.where(i < q, lda - q, -lda * q)
+
+
+def _certified_cholesky(mat: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """Solves with the Cholesky factor of A - tau D, and a proven lower bound on lambda_min(A).
+
+    Returns (solve, beta): solve(r) applies (A - tau D)^-1 to a vector r
+    through the factor, and beta <= lambda_min(A). D = diag(A) and
+    tau = 2 gamma_{n+1} n. The shift is relative to each diagonal entry, so
+    the proof, like plain Cholesky, does not depend on how the rows of A
+    are scaled: it is made for H = D^-1/2 A D^-1/2, whose diagonal is 1. If
+    the floating-point factorization of the shifted matrix M runs to
+    completion, Demmel's backward-error bound (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., Thm 10.3) gives
     |dM_ij| <= gamma_{n+1} sqrt(m_ii m_jj) / (1 - gamma_{n+1}) with
     m_ii <= d_i, so lambda_min(H) >= beta_H = s - gamma_{n+1} n / (1 - gamma_{n+1}),
     where s = min_i (d_i - m_ii) / d_i is the shift actually stored, close to
     tau. beta_H also deducts an allowance for underflow after Rump (BIT 46,
-    2006), and lambda_min(A) >= min(d) beta_H. The shift is made in place on
-    the one copy that is factored; only A's lower triangle is read. It is
-    the one proof of A_h > 0, for the direct solve and spd_check alike.
+    2006), and lambda_min(A) >= min(d) beta_H.
+    Only A's lower triangle is read. It is copied into rectangular full
+    packed (RFP) storage, n(n+1)/2 doubles, where the shift is made on the
+    diagonal and dpftrf factors it in place: a 2 x 2 block Cholesky, dpotrf
+    on the diagonal blocks with dtrsm and dsyrk between them, all
+    conventional (non-Strassen) Level-3 BLAS. Each entry of the factor is
+    still its inner product, summed in some order, and one division or
+    square root; Thm 10.3 holds for every summation order, so the bound is
+    the one for dpotrf alone. It is the one proof of
+    A_h > 0, for the direct solve and spd_check alike. Raises
+    NonFiniteInputError if the triangle holds a NaN or an infinity.
     """
     n = len(mat)
     u = UNIT_ROUNDOFF
     g = (n + 1) * u / (1.0 - (n + 1) * u)  # Higham's gamma_{n+1}
     tau = 2.0 * g * n
-    diag = mat.diagonal()
+    # mat.T's upper triangle is A's lower one, and for a C-ordered A mat.T
+    # is Fortran-ordered, so LAPACK reads it without a copy.
+    packed, _ = lapack.dtrttf(mat.T, transr="N", uplo="U")
+    # min and max propagate NaN and reach every infinity with no temporary.
+    if not (np.isfinite(packed.min()) and np.isfinite(packed.max())):
+        raise NonFiniteInputError("A_h contains NaN or infinite entries")
+    on_diagonal = _rfp_diagonal(n)
+    diag = packed[on_diagonal]
     shifted = diag * (1.0 - tau)
-    work = mat.copy()
-    np.fill_diagonal(work, shifted)
+    packed[on_diagonal] = shifted
+    _, info = lapack.dpftrf(n, packed, transr="N", uplo="U", overwrite_a=1)
     failed = SolveError(
         f"shifted Cholesky could not prove A_h positive definite (tau = {tau:.6g})"
     )
-    try:
-        # work.T is Fortran-ordered and its upper triangle is A's lower one,
-        # so LAPACK factors it in place without another copy.
-        factor = scipy.linalg.cho_factor(work.T, lower=False, overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise failed from exc
+    if info != 0:
+        raise failed
     # The pivots were positive, so 0 < m_ii <= d_i and d_i - m_ii is exact
     # (Sterbenz). Round the stored shift and beta down, and the deduction
     # up, past the roundings of the lines below.
@@ -579,7 +614,11 @@ def _certified_cholesky(mat: np.ndarray) -> tuple[tuple[np.ndarray, bool], float
     beta = float(np.nextafter(d_min * (shift - deduction) * (1.0 - 4 * u), -np.inf))
     if not beta > 0:
         raise failed
-    return factor, beta
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return lapack.dpftrs(n, packed, rhs, transr="N", uplo="U")[0]
+
+    return solve, beta
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
+from scipy.linalg import blas
 
 from .bem import FOUR_PI, GalerkinSystem, _certified_cholesky
 from .errors import SolveError, VarcapError, ZeroTotalChargeError
@@ -66,6 +66,11 @@ class BoundLedger:
     capacitance: float
 
 
+def _product(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A_h x from the lower triangle of A_h, the one the direct solve factors."""
+    return blas.dsymv(1.0, mat.T, x)
+
+
 def solve_capacitance(system: GalerkinSystem, method: str = "direct") -> ChargeSolution:
     """Solve A_h sigma = b for the equilibrium panel densities.
 
@@ -81,16 +86,14 @@ def solve_capacitance(system: GalerkinSystem, method: str = "direct") -> ChargeS
     b = system.areas
     n = system.n
     if method == "direct":
-        factor, lambda_bound = _certified_cholesky(mat)
-        # cho_factor checked A_h for inf and NaN, so the solves skip the
-        # O(n^2) scan of the factor.
+        solve, lambda_bound = _certified_cholesky(mat)
         scale = 1.0 / np.sqrt(mat.diagonal())
-        sigma = scipy.linalg.cho_solve(factor, b, check_finite=False)
-        res = b - mat @ sigma
+        sigma = solve(b)
+        res = b - _product(mat, sigma)
         size = float(np.linalg.norm(scale * res))
         for _ in range(REFINE_STEPS):
-            step = sigma + scipy.linalg.cho_solve(factor, res, check_finite=False)
-            step_res = b - mat @ step
+            step = sigma + solve(res)
+            step_res = b - _product(mat, step)
             step_size = float(np.linalg.norm(scale * step_res))
             if not step_size <= 0.5 * size:
                 break
@@ -100,6 +103,7 @@ def solve_capacitance(system: GalerkinSystem, method: str = "direct") -> ChargeS
                 f"iterative refinement of the shifted Cholesky solve stalled at "
                 f"scaled residual {size:.3e}; A_h is too close to singular"
             )
+        res = b - mat @ sigma  # reported against the full A_h, as a caller checks it
         iterations = 0
     elif method == "cg":
         steps = []  # one entry per CG iteration
@@ -122,7 +126,6 @@ def solve_capacitance(system: GalerkinSystem, method: str = "direct") -> ChargeS
     else:
         raise VarcapError(f"unknown solver {method!r}; expected 'direct' or 'cg'")
 
-    # res is b - A_h sigma: the direct branch's last accepted residual.
     residual = float(np.linalg.norm(res) / np.linalg.norm(b))
     capacitance = float(b @ sigma)
     if not capacitance > 0:

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
 import varcap
@@ -737,6 +738,15 @@ class TestAssembly:
             tracemalloc.stop()
         assert peak < 2.5 * matrix.nbytes, peak / matrix.nbytes
 
+    def test_duffy_rules_built_once_and_read_only(self):
+        # Each spec's table is built once; a fresh build is bitwise the same.
+        for tier in bem.TIERS[:-1]:
+            pts, wts = bem._rule_table(tier.rule)
+            assert bem._rule_table(tier.rule)[0] is pts
+            assert not (pts.flags.writeable or wts.flags.writeable)
+            fresh = bem._duffy_rule.__wrapped__(*tier.rule)
+            assert np.array_equal(fresh[0], pts) and np.array_equal(fresh[1], wts)
+
     def test_frames_computed_once_per_assembly(self, monkeypatch):
         # The diagonal and every refined tier read one frame table.
         calls = []
@@ -769,6 +779,13 @@ class TestAssembly:
         with pytest.raises(SolveError, match="could not prove") as info:
             bem._certified_cholesky(np.diag([1e-307, 1.0, 1.0]))
         assert info.value.__cause__ is None
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_rfp_diagonal_positions(self, n):
+        # LAPACK's RFP layout (TRANSR 'N', UPLO 'U') differs for odd and even n.
+        packed, info = scipy.linalg.lapack.dtrttf(np.diag(np.arange(1.0, n + 1)))
+        assert info == 0
+        assert np.array_equal(packed[bem._rfp_diagonal(n)], np.arange(1.0, n + 1))
 
     def test_spd_check_detects_indefinite(self):
         panels = varcap.build_panels(varcap.make_icosphere(1.0, 1))

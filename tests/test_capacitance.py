@@ -19,6 +19,7 @@ from varcap.capacitance import (
 )
 from varcap.errors import (
     DimensionMismatchError,
+    NonFiniteInputError,
     SolveError,
     VarcapError,
     ZeroTotalChargeError,
@@ -32,7 +33,7 @@ class TestSolve:
         sm = solved("sphere2")
         sigma, b = sm.solution.sigma, sm.system.areas
         assert sm.solution.residual_norm < 1e-12
-        # residual_norm comes from the refinement's last accepted residual.
+        # residual_norm is sigma's relative residual against the full A_h.
         residual = np.linalg.norm(sm.system.matrix @ sigma - b) / np.linalg.norm(b)
         assert sm.solution.residual_norm == residual
         assert sm.solution.capacitance == pytest.approx(float(b @ sigma), rel=1e-15)
@@ -194,6 +195,43 @@ class TestSolve:
         assert solution.capacitance == pytest.approx(
             self.plain_capacitance(scaled), rel=1e-14
         )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_matrix_raises(self, solved, value):
+        # A hand-built system bypasses assemble's check; the solve reads one
+        # triangle and rejects a non-finite entry there, as does spd_check.
+        system = solved("sphere1").system
+        matrix = np.array(system.matrix)
+        matrix[5, 2] = matrix[2, 5] = value
+        bad = varcap.GalerkinSystem(
+            matrix, system.areas, system.total_area, 0.0, system.centroids
+        )
+        with pytest.raises(NonFiniteInputError):
+            solve_capacitance(bad)
+        with pytest.raises(NonFiniteInputError):
+            varcap.spd_check(bad)
+
+    def test_solve_makes_no_matrix_copy(self, solved):
+        # The factor is packed, m(m+1)/2 doubles: a solve holds no m x m copy.
+        system = solved("sphere2").system
+        tracemalloc.start()
+        try:
+            solve_capacitance(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * system.matrix.nbytes, peak / system.matrix.nbytes
+
+    def test_matrix_unchanged_by_solve_and_check(self, solved):
+        # A writable hand-built matrix too: the factor lives in its own array.
+        system = solved("sphere2").system
+        matrix = np.array(system.matrix)
+        writable = varcap.GalerkinSystem(
+            matrix, system.areas, system.total_area, 0.0, system.centroids
+        )
+        solve_capacitance(writable)
+        varcap.spd_check(writable)
+        assert np.array_equal(matrix, system.matrix)
 
 
 class TestFunctionals:
