@@ -345,6 +345,8 @@ class GalerkinSystem:
     ``asymmetry_norm`` is the largest difference between the two
     directions of a touching pair, whose mean ``(M_ij + M_ji) / 2`` is the
     entry; every other entry has one value.
+    Checked where it is made, for every reader: ``matrix``, as float64 (not
+    copied if it is), is (n, n) and finite, ``centroids`` (n, 3), n = len(areas) >= 1.
     """
 
     matrix: np.ndarray
@@ -353,6 +355,18 @@ class GalerkinSystem:
     asymmetry_norm: float
     centroids: np.ndarray
     assembly: dict[str, ClassStats] = field(default_factory=dict)
+
+    def __post_init__(self):
+        matrix = np.asanyarray(self.matrix, dtype=np.float64)
+        object.__setattr__(self, "matrix", matrix)
+        n = self.n
+        if not n or matrix.shape != (n, n) or np.shape(self.centroids) != (n, 3):
+            raise DimensionMismatchError(f"n >= 1 areas need A_h (n, n) and centroids (n, 3), got "
+                                         f"{n}, {matrix.shape} and {np.shape(self.centroids)}")
+        # min and max propagate NaN and reach every infinity with no temporary.
+        if not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
+            i, j = np.argwhere(~np.isfinite(matrix))[0]
+            raise AssemblyError(f"non-finite matrix entry for panel pair ({i}, {j})")
 
     @property
     def n(self) -> int:
@@ -528,9 +542,6 @@ def assemble(panels: PanelSystem, workers: int = 1) -> GalerkinSystem:
         matrix[i, j] = matrix[j, i] = vals.mean(axis=0)
         stats[tier.name] = ClassStats(vals.size, len(wts), time.perf_counter() - start)
 
-    if not np.isfinite(matrix).all():
-        i, j = np.argwhere(~np.isfinite(matrix))[0]
-        raise AssemblyError(f"non-finite matrix entry for panel pair ({i}, {j})")
     matrix.setflags(write=False)
     return GalerkinSystem(matrix, areas, panels.total_area, asym, panels.centroids, stats)
 
@@ -581,8 +592,7 @@ def _certified_cholesky(mat: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndar
     still its inner product, summed in some order, and one division or
     square root; Thm 10.3 holds for every summation order, so the bound is
     the one for dpotrf alone. It is the one proof of
-    A_h > 0, for the direct solve and spd_check alike. Raises
-    NonFiniteInputError if the triangle holds a NaN or an infinity.
+    A_h > 0, for the direct solve and spd_check alike.
     """
     n = len(mat)
     u = UNIT_ROUNDOFF
@@ -591,9 +601,6 @@ def _certified_cholesky(mat: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndar
     # mat.T's upper triangle is A's lower one, and for a C-ordered A mat.T
     # is Fortran-ordered, so LAPACK reads it without a copy.
     packed, _ = lapack.dtrttf(mat.T, transr="N", uplo="U")
-    # min and max propagate NaN and reach every infinity with no temporary.
-    if not (np.isfinite(packed.min()) and np.isfinite(packed.max())):
-        raise NonFiniteInputError("A_h contains NaN or infinite entries")
     on_diagonal = _rfp_diagonal(n)
     diag = packed[on_diagonal]
     shifted = diag * (1.0 - tau)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg
-from scipy.linalg import blas
 
 from .bem import FOUR_PI, GalerkinSystem, _certified_cholesky
 from .errors import SolveError, VarcapError, ZeroTotalChargeError
@@ -66,19 +65,15 @@ class BoundLedger:
     capacitance: float
 
 
-def _product(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A_h x from the lower triangle of A_h, the one the direct solve factors."""
-    return blas.dsymv(1.0, mat.T, x)
-
-
 def solve_capacitance(system: GalerkinSystem, method: str = "direct") -> ChargeSolution:
     """Solve A_h sigma = b for the equilibrium panel densities.
 
     ``direct`` factors A_h - tau D once (``_certified_cholesky``), which both
-    proves A_h positive definite and solves. Iterative refinement against
-    A_h removes the shift's effect: it runs while each step at least halves
-    the diagonally scaled residual D^-1/2 (b - A_h sigma), at most
-    ``REFINE_STEPS`` times, and the solve fails unless that residual ends
+    proves A_h positive definite and solves. Iterative refinement from
+    sigma = 0 against the full A_h, the matrix every reader multiplies with,
+    keeps each step sigma + solve(b - A_h sigma) that at least halves the
+    diagonally scaled residual D^-1/2 (b - A_h sigma), at most
+    ``REFINE_STEPS + 1`` of them; the solve fails unless that residual ends
     below ``REFINE_RTOL`` of D^-1/2 b. ``cg`` runs Jacobi-preconditioned
     conjugate gradients to relative residual 1e-10 and proves nothing.
     """
@@ -88,22 +83,20 @@ def solve_capacitance(system: GalerkinSystem, method: str = "direct") -> ChargeS
     if method == "direct":
         solve, lambda_bound = _certified_cholesky(mat)
         scale = 1.0 / np.sqrt(mat.diagonal())
-        sigma = solve(b)
-        res = b - _product(mat, sigma)
-        size = float(np.linalg.norm(scale * res))
-        for _ in range(REFINE_STEPS):
+        sigma, res = np.zeros(n), b
+        size = start = float(np.linalg.norm(scale * b))
+        for _ in range(REFINE_STEPS + 1):
             step = sigma + solve(res)
-            step_res = b - _product(mat, step)
+            step_res = b - mat @ step
             step_size = float(np.linalg.norm(scale * step_res))
             if not step_size <= 0.5 * size:
                 break
             sigma, res, size = step, step_res, step_size
-        if not size <= REFINE_RTOL * float(np.linalg.norm(scale * b)):
+        if not size <= REFINE_RTOL * start:
             raise SolveError(
                 f"iterative refinement of the shifted Cholesky solve stalled at "
                 f"scaled residual {size:.3e}; A_h is too close to singular"
             )
-        res = b - mat @ sigma  # reported against the full A_h, as a caller checks it
         iterations = 0
     elif method == "cg":
         steps = []  # one entry per CG iteration
@@ -209,15 +202,22 @@ def trial_families(centroids: np.ndarray) -> list[tuple[str, np.ndarray]]:
 
 def bound_ledger(system: GalerkinSystem, solution: ChargeSolution) -> BoundLedger:
     """C0 (the constant family's bound), then the other families' bounds and the
-    Gauss value G_ss / (b^T sigma)^2 from one Gram matrix G of [monomials | sigma]."""
+    Gauss value G_ss / (b^T sigma)^2 from one Gram matrix G of [monomials | sigma].
+
+    Raises DimensionMismatchError, or VarcapError if b^T sigma is not the
+    solution's C to 1e-12: the solution belongs to another system.
+    """
+    sigma = _vector(solution.sigma, system.n, "sigma")
     zeroth = zeroth_capacitance(system)
     families = trial_families(system.centroids)
-    g, gram = _moments(system, np.column_stack([families[-1][1], solution.sigma]))
+    g, gram = _moments(system, np.column_stack([families[-1][1], sigma]))
+    c = solution.capacitance
+    if not abs(g[-1] - c) <= 1e-12 * abs(c):
+        raise VarcapError(f"b^T sigma = {g[-1]!r} is not the solution's C = {c!r}: "
+                          "the solution belongs to another system")
     bounds = [("constant", zeroth.c_zeroth)]
     for name, cols in families[1:]:
         lead = slice(cols.shape[1])
         bounds.append((name, _span_maximum(g[lead], gram[lead, lead])))
     gauss = float(gram[-1, -1]) / float(g[-1]) ** 2
-    return BoundLedger(
-        zeroth.c_zeroth, zeroth.j_integral, tuple(bounds), gauss, solution.capacitance
-    )
+    return BoundLedger(zeroth.c_zeroth, zeroth.j_integral, tuple(bounds), gauss, c)

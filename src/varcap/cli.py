@@ -120,7 +120,7 @@ def _mesh_source(args) -> tuple[geometry.SurfaceMesh, dict]:
 
 
 def _solve_pipeline(mesh, workers):
-    """Panels, A_h and the direct solve of one mesh, with each step's seconds."""
+    """A_h and the direct solve of one mesh, with each step's seconds."""
     t0 = time.perf_counter()
     panels = geometry.build_panels(mesh)
     t1 = time.perf_counter()
@@ -134,16 +134,16 @@ def _solve_pipeline(mesh, workers):
         "solve_s": time.perf_counter() - t2,
         **{f"assemble_{name}_s": s.seconds for name, s in system.assembly.items()},
     }
-    return panels, system, solution, timings
+    return system, solution, timings
 
 
-def _solve_report(config, mesh, panels, system, solution, ledger, timings) -> dict:
+def _solve_report(config, mesh, system, solution, ledger, timings) -> dict:
     lo, hi = mesh.bbox
     return {
         "schema": "capreport/8",
         "config": {"command": "solve", **config},
         "mesh": {
-            "panels": panels.n_panels,
+            "panels": system.n,
             "vertices": mesh.n_vertices,
             "total_area": system.total_area,
             "bbox": [lo.tolist(), hi.tolist()],
@@ -216,11 +216,11 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     mesh, config = _mesh_source(args)
-    panels, system, solution, timings = _solve_pipeline(mesh, args.workers)
+    system, solution, timings = _solve_pipeline(mesh, args.workers)
     start = time.perf_counter()
     ledger = capacitance.bound_ledger(system, solution)
     timings["bounds_s"] = time.perf_counter() - start
-    report = _solve_report(config, mesh, panels, system, solution, ledger, timings)
+    report = _solve_report(config, mesh, system, solution, ledger, timings)
     _emit(report, args.out, args.json, _solve_text(report))
     return EXIT_OK
 
@@ -272,12 +272,12 @@ def cmd_converge(args) -> int:
     # convreport/4 carries C and C0 per level, so no SPD check or bound ledger.
     rows = []
     for level in levels:
-        panels, system, solution, _ = _solve_pipeline(_build_shape(config, level), args.workers)
+        system, solution, _ = _solve_pipeline(_build_shape(config, level), args.workers)
         c = solution.capacitance
         rows.append(
             {
                 "level": level,
-                "panels": panels.n_panels,
+                "panels": system.n,
                 "C": c,
                 "C_over_4pi": c / bem.FOUR_PI,
                 "c_zeroth": capacitance.zeroth_capacitance(system).c_zeroth,

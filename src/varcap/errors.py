@@ -53,8 +53,8 @@ class DegenerateTriangleError(VarcapError):
         )
 
 
-class AssemblyError(VarcapError):
-    """Galerkin assembly produced an invalid entry."""
+class AssemblyError(NonFiniteInputError):
+    """A Galerkin matrix A_h has a NaN or infinite entry."""
 
 
 class SolveError(VarcapError):

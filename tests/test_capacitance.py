@@ -18,6 +18,7 @@ from varcap.capacitance import (
     zeroth_capacitance,
 )
 from varcap.errors import (
+    AssemblyError,
     DimensionMismatchError,
     NonFiniteInputError,
     SolveError,
@@ -198,18 +199,61 @@ class TestSolve:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_matrix_raises(self, solved, value):
-        # A hand-built system bypasses assemble's check; the solve reads one
-        # triangle and rejects a non-finite entry there, as does spd_check.
+        # A hand-built system is checked where it is made, as an assembled one is.
         system = solved("sphere1").system
         matrix = np.array(system.matrix)
         matrix[5, 2] = matrix[2, 5] = value
-        bad = varcap.GalerkinSystem(
-            matrix, system.areas, system.total_area, 0.0, system.centroids
-        )
         with pytest.raises(NonFiniteInputError):
-            solve_capacitance(bad)
-        with pytest.raises(NonFiniteInputError):
-            varcap.spd_check(bad)
+            varcap.GalerkinSystem(matrix, system.areas, system.total_area, 0.0, system.centroids)
+
+    def test_empty_system_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            varcap.GalerkinSystem(np.empty((0, 0)), np.empty(0), 0.0, 0.0, np.empty((0, 3)))
+
+    @staticmethod
+    def changed(matrix, index, value):
+        out = np.array(matrix)
+        out[index] = value
+        return out
+
+    # Each case: (A_h, b) -> the hand-built (matrix, areas), and its varcap
+    # error or None. With None, C is b^T A^-1 b of the matrix as float64,
+    # the full matrix every reader multiplies with, not either triangle.
+    HAND_BUILT = {
+        "areas-short": (lambda a, b: (a, b[:-1]), DimensionMismatchError),
+        "column-short": (lambda a, b: (a[:, :-1], b), DimensionMismatchError),
+        "nan-upper": (lambda a, b: (TestSolve.changed(a, (2, 5), math.nan), b), AssemblyError),
+        "inf-upper": (lambda a, b: (TestSolve.changed(a, (2, 5), math.inf), b), AssemblyError),
+        "nan-lower": (lambda a, b: (TestSolve.changed(a, (5, 2), math.nan), b), AssemblyError),
+        "inf-lower": (lambda a, b: (TestSolve.changed(a, (5, 2), -math.inf), b), AssemblyError),
+        "nested-list": (lambda a, b: (a.tolist(), b), None),
+        "int": (lambda a, b: (np.rint(1e6 * a).astype(np.int64), b), None),
+        "asymmetric": (lambda a, b: (TestSolve.changed(a, (2, 5), a[2, 5] * (1 + 1e-3)), b), None),
+        "upper-times-1.5": (lambda a, b: (a + 0.5 * np.triu(a, 1), b), SolveError),
+    }
+
+    @pytest.mark.parametrize("case", HAND_BUILT)
+    def test_hand_built_system(self, solved, case):
+        system = solved("sphere1").system
+        make, expected = self.HAND_BUILT[case]
+        matrix, areas = make(np.array(system.matrix), system.areas)
+        if expected in (DimensionMismatchError, AssemblyError):
+            with pytest.raises(expected):
+                varcap.GalerkinSystem(matrix, areas, system.total_area, 0.0, system.centroids)
+            return
+        built = varcap.GalerkinSystem(matrix, areas, system.total_area, 0.0, system.centroids)
+        # The other readers take the system as it is.
+        varcap.spd_check(built)
+        zeroth_capacitance(built)
+        rayleigh_bound(built, np.ones(built.n))
+        if expected is SolveError:
+            with pytest.raises(SolveError, match="refinement .* stalled"):
+                solve_capacitance(built)
+            return
+        solution = solve_capacitance(built)
+        a = np.array(matrix, dtype=np.float64)
+        assert solution.capacitance == pytest.approx(areas @ np.linalg.solve(a, areas), rel=1e-14)
+        assert bound_ledger(built, solution).capacitance == solution.capacitance
 
     def test_solve_makes_no_matrix_copy(self, solved):
         # The factor is packed, m(m+1)/2 doubles: a solve holds no m x m copy.
@@ -448,6 +492,16 @@ class TestBoundLedger:
         ledger = bound_ledger(counted, sm.solution)
         assert Counted.products == 2
         assert ledger == bound_ledger(system, sm.solution)
+
+    def test_ledger_rejects_solution_of_other_size(self, solved):
+        with pytest.raises(DimensionMismatchError):
+            bound_ledger(solved("sphere1").system, solved("sphere2").solution)
+
+    def test_ledger_rejects_solution_of_other_system(self, solved):
+        # Same panel count, twice the radius: b^T sigma is 4 C, not C.
+        larger = varcap.assemble(varcap.build_panels(varcap.make_icosphere(2.0, 1)))
+        with pytest.raises(VarcapError, match="another system"):
+            bound_ledger(larger, solved("sphere1").solution)
 
 
 class TestLowerBound:
